@@ -21,7 +21,8 @@ import os
 import subprocess
 import sys
 
-WORKLOADS = ("sweep-shared", "sweep-distinct", "serve-mixed")
+WORKLOADS = ("sweep-shared", "sweep-distinct", "sweep-pressure",
+             "serve-mixed")
 RUN_TIMEOUT_S = 170
 
 

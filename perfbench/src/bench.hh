@@ -40,10 +40,13 @@ struct RunOptions
 };
 
 /** Setup repetitions per run; setup_s is their median. */
-constexpr int setup_repeats = 5;
+constexpr int setup_repeats = 15;
 
 /** Window length of the windowed-median throughput metrics. */
 constexpr double rate_window_s = 1.0;
+
+/** Window length of the windowed-median latency tail. */
+constexpr double tail_window_s = 5.0;
 
 /** Fewest requests a timed phase completes, however long it takes. */
 constexpr std::size_t min_requests = 24;
@@ -140,7 +143,7 @@ void printSetupSamples(const std::vector<double> &setup_s);
 void addSessionMetrics(const std::vector<Span> &spans, unsigned workers,
                        std::size_t failed_points, Report &report);
 
-/** sweep-shared or sweep-distinct, by options.workload. */
+/** sweep-shared, sweep-distinct or sweep-pressure, by workload. */
 void runSweep(const RunOptions &options, Report &report);
 void runServeMixed(const RunOptions &options, Report &report);
 

@@ -109,6 +109,42 @@ windowedRate(const std::vector<double> &end_times,
     return median(rates);
 }
 
+Tail
+windowedTail(const std::vector<double> &end_times,
+             const std::vector<double> &values, double start,
+             double window_s, double cap)
+{
+    std::vector<std::vector<double>> windows;
+    std::vector<double> open;
+    double opened = start;
+    for (std::size_t i = 0; i < end_times.size(); ++i) {
+        open.push_back(values[i]);
+        if (end_times[i] - opened >= window_s) {
+            windows.push_back(std::move(open));
+            open.clear();
+            opened = end_times[i];
+        }
+    }
+    if (windows.empty())
+        return summarize(values, cap);
+    std::size_t smallest = windows.front().size();
+    for (const auto &window : windows)
+        smallest = std::min(smallest, window.size());
+    const auto p = tailPercentile(smallest, cap);
+    if (!p)
+        return summarize(values, cap);
+    std::vector<double> tails;
+    for (const auto &window : windows)
+        tails.push_back(percentile(window, *p));
+    Tail tail;
+    tail.samples = values.size();
+    tail.p50 = median(values);
+    tail.percentile = *p;
+    tail.value = median(tails);
+    tail.windows = windows.size();
+    return tail;
+}
+
 // ---------------------------------------------------------------------
 // Spans
 // ---------------------------------------------------------------------

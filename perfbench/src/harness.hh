@@ -56,6 +56,7 @@ struct Tail
     double percentile = 0.0; ///< 0 when the sample supports no tail
     double value = 0.0;
     std::size_t samples = 0;
+    std::size_t windows = 1; ///< windows the tail is the median over
 };
 
 /** Median and rule-chosen tail of @p values (tail capped at @p cap). */
@@ -73,6 +74,20 @@ Tail summarize(const std::vector<double> &values, double cap);
 double windowedRate(const std::vector<double> &end_times,
                     const std::vector<double> &amounts, double start,
                     double window_s);
+
+/**
+ * summarize(), with the tail taken as the median over windows: the
+ * @p values of operations ending at @p end_times are grouped into
+ * windows exactly as windowedRate groups them. The percentile is the
+ * rule's choice (capped at @p cap) for the smallest window, so every
+ * window reports the same one, and the tail is the median of the
+ * windows' percentiles; p50 and the sample count stay whole-run. When
+ * the smallest window supports no tail this is summarize(). A burst
+ * of host noise then moves one window's tail, not the run's.
+ */
+Tail windowedTail(const std::vector<double> &end_times,
+                  const std::vector<double> &values, double start,
+                  double window_s, double cap);
 
 // ---------------------------------------------------------------------
 // Spans

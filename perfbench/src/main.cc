@@ -3,9 +3,11 @@
  * qmh_perfbench: the benchmark of record. One run = one workload in its
  * own process:
  *
- *   qmh_perfbench --workload sweep-shared|sweep-distinct|serve-mixed
- *                 --seed N --seconds S --trace 0|1
+ *   qmh_perfbench --workload WORKLOAD --seed N --seconds S --trace 0|1
  *                 [--git-sha SHA] [--src-digest HEX] [--spans-out PATH]
+ *
+ * WORKLOAD is sweep-shared, sweep-distinct, sweep-pressure or
+ * serve-mixed.
  *
  * --trace 0 prints the end-to-end metrics, --trace 1 the per-layer
  * ones. The last stdout line is the result object; a failed output
@@ -29,8 +31,8 @@ usage(const char *message)
 {
     std::fprintf(stderr,
                  "qmh_perfbench: %s\nusage: qmh_perfbench --workload "
-                 "sweep-shared|sweep-distinct|serve-mixed --seed N "
-                 "--seconds S --trace 0|1 [--git-sha SHA] "
+                 "sweep-shared|sweep-distinct|sweep-pressure|serve-mixed "
+                 "--seed N --seconds S --trace 0|1 [--git-sha SHA] "
                  "[--src-digest HEX] [--spans-out PATH]\n",
                  message);
     return 2;
@@ -84,6 +86,7 @@ main(int argc, char **argv)
     }
     if (options.workload != "sweep-shared" &&
         options.workload != "sweep-distinct" &&
+        options.workload != "sweep-pressure" &&
         options.workload != "serve-mixed")
         return usage("unknown --workload");
     if (!have_seed || !have_seconds || !have_trace)

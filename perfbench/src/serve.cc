@@ -427,11 +427,15 @@ runServeMixed(const RunOptions &options, Report &report)
             runServePhase(options, options.seconds, nullptr, report);
         printPhase(phase);
         printSetupSamples(phase.setup_s);
-        const auto tail = summarize(phase.latency_ms, 99.0);
+        const auto tail =
+            windowedTail(phase.request_end, phase.latency_ms, phase.start,
+                         tail_window_s, 99.0);
         std::printf("request latency: n=%zu p50 %.4f ms, p%g %.4f ms "
-                    "(highest percentile <= p99 with >= 10 samples "
-                    "beyond it)\n",
-                    tail.samples, tail.p50, tail.percentile, tail.value);
+                    "(median over %zu windows of >= %g s; highest "
+                    "percentile <= p99 with >= 10 samples beyond it in "
+                    "each)\n",
+                    tail.samples, tail.p50, tail.percentile, tail.value,
+                    tail.windows, tail_window_s);
         report.add("setup_s", median(phase.setup_s), "s");
         const auto windowed = [&](const std::vector<double> &amounts) {
             return windowedRate(phase.request_end, amounts, phase.start,

@@ -87,6 +87,35 @@ windowedThroughput()
 }
 
 void
+windowedLatencyTail()
+{
+    // Three 20-sample windows; p75 leaves 5 beyond it in each, p50
+    // leaves 10, so the tail is every window's p50.
+    std::vector<double> ends;
+    std::vector<double> values;
+    for (int w = 0; w < 3; ++w)
+        for (int i = 1; i <= 20; ++i) {
+            ends.push_back(w + i / 20.0);
+            // The middle window is a burst, ten times slower.
+            values.push_back(i * (w == 1 ? 10.0 : 1.0));
+        }
+    const auto tail = windowedTail(ends, values, 0, 1, 90.0);
+    EXPECT(tail.windows == 3);
+    EXPECT(tail.samples == 60);
+    EXPECT(tail.percentile == 50.0);
+    EXPECT(tail.value == 10.0); // the burst's 100 is outvoted
+    EXPECT(tail.p50 == median(values));
+    // Windows too small for any tail: the whole run's rule applies.
+    const auto whole = windowedTail(ends, values, 0, 0.01, 90.0);
+    EXPECT(whole.windows == 1);
+    EXPECT(whole.percentile == summarize(values, 90.0).percentile);
+    EXPECT(whole.value == summarize(values, 90.0).value);
+    // No window closes: the same.
+    EXPECT(windowedTail(ends, values, 0, 100, 90.0).value ==
+           summarize(values, 90.0).value);
+}
+
+void
 spanSelfTime()
 {
     std::vector<Span> spans(5);
@@ -253,6 +282,7 @@ main()
 {
     percentileRule();
     windowedThroughput();
+    windowedLatencyTail();
     spanSelfTime();
     traceRowChecker();
     responseFraming();
