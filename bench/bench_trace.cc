@@ -8,7 +8,9 @@
 #include "api/grid.hh"
 #include "api/workload.hh"
 #include "bench_util.hh"
+#include "sched/scheduler.hh"
 #include "sweep/sweep.hh"
+#include "trace/compiled.hh"
 #include "trace/engine.hh"
 
 using namespace qmh;
@@ -78,6 +80,43 @@ BM_TraceRun(benchmark::State &state)
         static_cast<double>(workload.program.size());
 }
 BENCHMARK(BM_TraceRun)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
+
+/**
+ * The flat baseline schedule's host time per gate, over tables compiled
+ * once: the full listSchedule (per-gate start times and block ids)
+ * against the makespan-only loop runTrace uses, at 49 blocks. Arg 0
+ * picks the circuit (0 = draper n=256, 1 = random n=256 gates=20000),
+ * arg 1 the form (0 = listSchedule, 1 = makespan only).
+ */
+void
+BM_FlatBaseline(benchmark::State &state)
+{
+    api::ExperimentSpec spec;
+    spec.n = 256;
+    spec.workload = state.range(0) == 0 ? "draper" : "random";
+    spec.gates = 20000;
+    Random rng(7);
+    const trace::CompiledWorkload compiled(api::buildWorkload(spec, rng));
+    const bool makespan_only = state.range(1) == 1;
+    for (auto _ : state) {
+        if (makespan_only)
+            benchmark::DoNotOptimize(sched::listScheduleMakespan(
+                compiled.dag(), compiled.tables(), 49));
+        else
+            benchmark::DoNotOptimize(
+                sched::listSchedule(compiled.dag(), compiled.tables(), 49)
+                    .makespan);
+    }
+    // An inverted rate: host seconds per gate (printed as e.g. 36ns).
+    state.counters["time_per_gate"] = benchmark::Counter(
+        static_cast<double>(compiled.program().size()) *
+            static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FlatBaseline)
+    ->ArgNames({"circuit", "makespan_only"})
+    ->Args({0, 0})->Args({0, 1})->Args({1, 0})->Args({1, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 /**
  * The 24-point trace grid at 1/4/8 threads: points/sec is the trace

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <optional>
+#include <tuple>
 
 #include "api/session.hh"
 #include "api/workload.hh"
@@ -9,6 +13,7 @@
 #include "cqla/hierarchy_sim.hh"
 #include "ecc/montecarlo.hh"
 #include "net/bandwidth.hh"
+#include "trace/compiled.hh"
 #include "trace/engine.hh"
 
 namespace qmh {
@@ -311,6 +316,56 @@ class MonteCarloExperiment final : public Experiment
 };
 
 /**
+ * One unseeded workload, compiled on first use and shared by every
+ * trace experiment of a batch whose spec builds the same circuit.
+ * Thread-safe: the first worker to need it compiles it, the others
+ * wait for that one build.
+ */
+class SharedCompile
+{
+  public:
+    const trace::CompiledWorkload &
+    get(const ExperimentSpec &spec)
+    {
+        std::call_once(_once, [this, &spec] {
+            // An unseeded generator never draws from its stream.
+            Random unused(0);
+            _compiled.emplace(buildWorkload(spec, unused));
+        });
+        return *_compiled;
+    }
+
+  private:
+    std::once_flag _once;
+    std::optional<trace::CompiledWorkload> _compiled;
+};
+
+/** The spec fields an unseeded generator's circuit depends on. */
+using CompileKey = std::tuple<std::string, int, int, int, bool>;
+using CompileTable = std::map<CompileKey, std::shared_ptr<SharedCompile>>;
+
+/**
+ * The compile slot of a trace spec: nullptr for a seeded (or
+ * unknown) workload, which compiles per point from that point's
+ * Random; otherwise the slot of @p table for the spec's circuit, or
+ * a slot of its own when there is no table.
+ */
+std::shared_ptr<SharedCompile>
+compileSlotFor(const ExperimentSpec &spec, CompileTable *table)
+{
+    const auto *generator = findWorkload(spec.workload);
+    if (!generator || generator->seeded)
+        return nullptr;
+    if (!table)
+        return std::make_shared<SharedCompile>();
+    auto &slot = (*table)[CompileKey{spec.workload, spec.n, spec.gates,
+                                     spec.reps, spec.mask_data}];
+    if (!slot)
+        slot = std::make_shared<SharedCompile>();
+    return slot;
+}
+
+/**
  * Trace-driven hierarchy pipeline: any registry workload (or a text-
  * format circuit wrapped in an api::Workload) list-scheduled onto
  * level-1 blocks with per-instruction cache residency and transfer-
@@ -319,9 +374,17 @@ class MonteCarloExperiment final : public Experiment
 class TraceExperiment final : public Experiment
 {
   public:
-    explicit TraceExperiment(ExperimentSpec spec)
-        : Experiment(std::move(spec))
+    TraceExperiment(ExperimentSpec spec,
+                    std::shared_ptr<SharedCompile> compiled)
+        : Experiment(std::move(spec)), _compiled(std::move(compiled))
     {
+    }
+
+    /** The shared compiled workload; nullptr when compiled per point. */
+    const trace::CompiledWorkload *
+    shared() const
+    {
+        return _compiled ? &_compiled->get(_spec) : nullptr;
     }
 
     std::string name() const override { return "trace"; }
@@ -370,8 +433,17 @@ class TraceExperiment final : public Experiment
 
     std::vector<sweep::Cell> run(Random &rng) const override
     {
-        const auto workload = buildWorkload(_spec, rng);
-        const auto capacity = resolveCapacity(_spec, workload);
+        if (const auto *compiled = shared())
+            return row(*compiled);
+        return row(trace::CompiledWorkload(buildWorkload(_spec, rng)));
+    }
+
+  private:
+    std::vector<sweep::Cell>
+    row(const trace::CompiledWorkload &compiled) const
+    {
+        const auto capacity =
+            resolveCapacity(_spec, compiled.workload());
         trace::TraceConfig config;
         config.code = _spec.code;
         config.blocks = _spec.blocks;
@@ -383,7 +455,7 @@ class TraceExperiment final : public Experiment
             static_cast<std::size_t>(_spec.mem_buffer);
         config.cycles_per_line = _spec.cycles_per_line;
         const auto result =
-            trace::runTrace(workload, config, _spec.params());
+            trace::runTrace(compiled, config, _spec.params());
         return {printSpec(_spec),
                 _spec.workload,
                 _spec.n,
@@ -413,12 +485,13 @@ class TraceExperiment final : public Experiment
                 result.mean_in_flight,
                 result.events_executed};
     }
+
+    std::shared_ptr<SharedCompile> _compiled;
 };
 
-} // namespace
-
+/** makeExperiment, taking trace compile slots from @p table. */
 std::unique_ptr<Experiment>
-makeExperiment(const ExperimentSpec &spec)
+makeExperimentIn(const ExperimentSpec &spec, CompileTable *table)
 {
     switch (spec.kind) {
       case ExperimentKind::Hierarchy:
@@ -430,11 +503,27 @@ makeExperiment(const ExperimentSpec &spec)
       case ExperimentKind::MonteCarlo:
         return std::make_unique<MonteCarloExperiment>(spec);
       case ExperimentKind::Trace:
-        return std::make_unique<TraceExperiment>(spec);
+        return std::make_unique<TraceExperiment>(
+            spec, compileSlotFor(spec, table));
     }
     // qmh-lint: allow(typed-errors): exhaustive-switch guard — an out-of-range enum is memory corruption, not a request failure
     qmh_panic("makeExperiment: bad ExperimentKind ",
               static_cast<int>(spec.kind));
+}
+
+} // namespace
+
+std::unique_ptr<Experiment>
+makeExperiment(const ExperimentSpec &spec)
+{
+    return makeExperimentIn(spec, nullptr);
+}
+
+const trace::CompiledWorkload *
+sharedCompiledWorkload(const Experiment &experiment)
+{
+    const auto *traced = dynamic_cast<const TraceExperiment *>(&experiment);
+    return traced ? traced->shared() : nullptr;
 }
 
 std::optional<Error>
@@ -468,8 +557,9 @@ validateExperiments(const std::vector<ExperimentSpec> &specs)
 {
     std::vector<std::unique_ptr<Experiment>> experiments;
     experiments.reserve(specs.size());
+    CompileTable compiled;
     for (const auto &spec : specs)
-        experiments.push_back(makeExperiment(spec));
+        experiments.push_back(makeExperimentIn(spec, &compiled));
     if (auto error = checkExperimentBatch(experiments))
         return std::move(*error);
     return experiments;

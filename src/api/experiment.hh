@@ -31,6 +31,10 @@
 #include "sweep/sweep.hh"
 
 namespace qmh {
+namespace trace {
+class CompiledWorkload;
+} // namespace trace
+
 namespace api {
 
 /** One runnable experiment built from a spec. */
@@ -71,6 +75,16 @@ class Experiment
 std::unique_ptr<Experiment> makeExperiment(const ExperimentSpec &spec);
 
 /**
+ * The compiled workload a trace experiment runs on, compiling it on
+ * first use; nullptr for other kinds and for seeded workloads
+ * (`random`), which compile per point from the point's Random.
+ * Experiments of one validateExperiments batch whose specs build the
+ * same circuit return the same object.
+ */
+const trace::CompiledWorkload *
+sharedCompiledWorkload(const Experiment &experiment);
+
+/**
  * The typed checks a runnable batch must pass: every experiment
  * validates (ErrorCode::InvalidSpec, one detail per diagnostic,
  * indexed so duplicate spec prints stay tellable apart) and all
@@ -86,6 +100,10 @@ std::optional<Error> checkExperimentBatch(
  * (makeExperiment per spec, then checkExperimentBatch). Shared by
  * Session::submit, runSpecSweep and the opt:: cached/adaptive
  * runners so their notion of "runnable batch" cannot drift apart.
+ * Trace experiments whose unseeded workload agrees on (workload, n,
+ * gates, reps, mask_data) share one lazily compiled workload, so the
+ * circuit, its DAG, schedule tables and flat baselines are built once
+ * per batch instead of once per point; rows are unchanged.
  */
 [[nodiscard]] Outcome<std::vector<std::unique_ptr<Experiment>>>
 validateExperiments(const std::vector<ExperimentSpec> &specs);

@@ -91,15 +91,15 @@ buildRandom(const ExperimentSpec &spec, Random &rng)
 
 const std::vector<WorkloadGenerator> registry = {
     {"draper", "logarithmic-depth carry-lookahead adder (paper core)",
-     buildDraper},
+     buildDraper, false},
     {"ripple", "linear-depth ripple-carry adder (baseline)",
-     buildRipple},
+     buildRipple, false},
     {"modexp", "repeated Draper additions (steady-state mod-exp)",
-     buildModExp},
+     buildModExp, false},
     {"qft", "quantum Fourier transform with bit-reversal swaps",
-     buildQft},
+     buildQft, false},
     {"random", "random mixed logical circuit (seeded per point)",
-     buildRandom},
+     buildRandom, true},
 };
 
 } // namespace

@@ -36,6 +36,13 @@ struct WorkloadGenerator
     std::string name;
     std::string description;
     Workload (*build)(const ExperimentSpec &spec, Random &rng);
+    /**
+     * True when build() draws from its Random: each point then gets
+     * its own circuit. False means the circuit is a function of the
+     * spec's n, gates, reps and mask_data alone, so points that agree
+     * on those may share one build.
+     */
+    bool seeded = false;
 };
 
 /** All registered generators, in registration order. */

@@ -57,6 +57,9 @@ class DependencyGraph
     /** Number of unfinished predecessors at the start (in-degree). */
     int inDegree(std::size_t i) const { return _in_degree[i]; }
 
+    /** Every instruction's in-degree, indexed by position. */
+    const std::vector<int> &inDegrees() const { return _in_degree; }
+
     /**
      * ASAP level of each instruction under unit gate latency: the
      * earliest timestep it can issue with unlimited resources.

@@ -37,6 +37,9 @@ class Program
     /** Append an instruction (operands validated against the register). */
     void append(Instruction inst);
 
+    /** Reserve room for @p count instructions. */
+    void reserve(std::size_t count) { _insts.reserve(count); }
+
     /** Convenience emitters. */
     void x(QubitId a) { append(Instruction::makeOne(GateKind::X, a)); }
     void z(QubitId a) { append(Instruction::makeOne(GateKind::Z, a)); }

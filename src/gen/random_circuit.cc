@@ -42,6 +42,7 @@ randomCircuit(int qubits, int gates, Random &rng, bool classical_only)
 
     Program prog(classical_only ? "random-reversible" : "random-mixed",
                  qubits);
+    prog.reserve(static_cast<std::size_t>(gates));
     for (int g = 0; g < gates; ++g) {
         const auto roll = rng.uniformInt(classical_only ? 4 : 7);
         switch (roll) {

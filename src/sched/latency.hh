@@ -29,6 +29,8 @@ struct LatencyModel
     std::uint32_t swap = 3;     ///< three CNOTs
     std::uint32_t toffoli = 15; ///< paper: fifteen two-qubit gate steps
 
+    bool operator==(const LatencyModel &) const = default;
+
     /** Latency of an instruction in gate-steps. */
     std::uint32_t
     steps(circuit::GateKind kind) const

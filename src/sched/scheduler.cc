@@ -1,7 +1,9 @@
 #include "scheduler.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <type_traits>
 
 #include "common/logging.hh"
 
@@ -25,6 +27,60 @@ struct FinishEntry
         return index > other.index;
     }
 };
+
+/** Push @p key onto the min-heap @p heap. */
+void
+heapPush(std::vector<std::uint64_t> &heap, std::uint64_t key)
+{
+    std::size_t i = heap.size();
+    heap.push_back(key);
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / 2;
+        if (heap[parent] < key)
+            break;
+        heap[i] = heap[parent];
+        i = parent;
+    }
+    heap[i] = key;
+}
+
+/**
+ * Pop the smallest key of the non-empty min-heap @p heap. Ready keys
+ * arrive in no predictable order, so the hole sinks to a leaf picking
+ * the smaller child arithmetically (no branch to mispredict) and the
+ * last key then rises into it. Keys are unique, so the pop sequence
+ * is the one any min-heap gives.
+ */
+std::uint64_t
+heapPop(std::vector<std::uint64_t> &heap)
+{
+    const auto top = heap.front();
+    const auto last = heap.back();
+    heap.pop_back();
+    const std::size_t n = heap.size();
+    if (n == 0)
+        return top;
+    std::size_t i = 0;
+    std::size_t child = 2;
+    for (; child < n; child = 2 * i + 2) {
+        child -= heap[child - 1] < heap[child] ? 1 : 0;
+        heap[i] = heap[child];
+        i = child;
+    }
+    if (child == n) {
+        heap[i] = heap[n - 1];
+        i = n - 1;
+    }
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / 2;
+        if (heap[parent] < last)
+            break;
+        heap[i] = heap[parent];
+        i = parent;
+    }
+    heap[i] = last;
+    return top;
+}
 
 } // namespace
 
@@ -149,64 +205,83 @@ ScheduleResult::utilization() const
            (static_cast<double>(blocks) * static_cast<double>(makespan));
 }
 
-IncrementalScheduler::IncrementalScheduler(
-    const circuit::Program &program,
-    const circuit::DependencyGraph &dag, const LatencyModel &latency,
-    unsigned blocks)
-    : _blocks(blocks), _capped(blocks != unlimited_blocks)
+ScheduleTables::ScheduleTables(const circuit::Program &program,
+                               const circuit::DependencyGraph &dag,
+                               const LatencyModel &model)
 {
     const auto &insts = program.instructions();
-    _total = static_cast<std::uint32_t>(insts.size());
-    _latency.resize(_total);
-    for (std::uint32_t i = 0; i < _total; ++i) {
-        _latency[i] = latency.steps(insts[i].kind);
-        _busy_block_steps += _latency[i];
+    const auto total = static_cast<std::uint32_t>(insts.size());
+    // Gate kinds come in no predictable order; a per-kind table
+    // avoids a mispredicted switch per instruction.
+    std::array<std::uint32_t, 256> steps{};
+    for (std::size_t kind = 0; kind < steps.size(); ++kind)
+        steps[kind] = model.steps(static_cast<circuit::GateKind>(kind));
+    latency.resize(total);
+    for (std::uint32_t i = 0; i < total; ++i) {
+        latency[i] = steps[static_cast<std::uint8_t>(insts[i].kind)];
+        busy_steps += latency[i];
+        max_latency = std::max(max_latency, latency[i]);
     }
 
-    // The DAG already stores successor adjacency in CSR form; take a
-    // flat copy so every later claim/complete walks contiguous memory
-    // the scheduler owns outright.
-    _succ_offset = dag.succOffsets();
-    _succ = dag.succEdges();
-
-    // Critical-path priority: longest weighted path to any sink.
-    _priority.assign(_total, 0);
-    for (std::uint32_t i = _total; i-- > 0;) {
-        std::uint64_t best = 0;
-        for (auto e = _succ_offset[i]; e < _succ_offset[i + 1]; ++e)
-            best = std::max(best, _priority[_succ[e]]);
-        _priority[i] = best + _latency[i];
-    }
-
-    // The ready-set key only needs a monotone priority-descending
-    // rank, not a dense one. Every priority is bounded by the total
-    // busy steps, so when that fits 32 bits (any program the spec
-    // layer admits) the bitwise complement is the rank directly —
-    // no sort, no per-instruction binary search. The sort-based
-    // dense compression remains as the arbitrary-latency fallback.
-    _rank.resize(_total);
-    if (_busy_block_steps <= 0xffffffffull) {
-        for (std::uint32_t i = 0; i < _total; ++i)
-            _rank[i] = ~static_cast<std::uint32_t>(_priority[i]);
+    // Critical-path priority: longest weighted path to any sink. The
+    // ready-set key only needs a monotone priority-descending rank,
+    // not a dense one. Every priority is bounded by the total busy
+    // steps, so when that fits 32 bits (any program the spec layer
+    // admits) the priorities are computed in place in `rank` and
+    // complemented — no sort, no per-instruction binary search. The
+    // sort-based dense compression remains as the arbitrary-latency
+    // fallback.
+    const auto &succ_offset = dag.succOffsets();
+    const auto &succ = dag.succEdges();
+    const auto longestPaths = [&](auto &priority) {
+        for (std::uint32_t i = total; i-- > 0;) {
+            std::remove_reference_t<decltype(priority[0])> best = 0;
+            for (auto e = succ_offset[i]; e < succ_offset[i + 1]; ++e)
+                best = std::max(best, priority[succ[e]]);
+            priority[i] = best + latency[i];
+        }
+    };
+    rank.resize(total);
+    if (busy_steps <= 0xffffffffull) {
+        longestPaths(rank);
+        for (auto &r : rank)
+            r = ~r;
     } else {
-        std::vector<std::uint64_t> distinct(_priority);
+        std::vector<std::uint64_t> priority(total, 0);
+        longestPaths(priority);
+        std::vector<std::uint64_t> distinct(priority);
         std::sort(distinct.begin(), distinct.end(), std::greater<>{});
         distinct.erase(std::unique(distinct.begin(), distinct.end()),
                        distinct.end());
-        for (std::uint32_t i = 0; i < _total; ++i)
-            _rank[i] = static_cast<std::uint32_t>(
+        for (std::uint32_t i = 0; i < total; ++i)
+            rank[i] = static_cast<std::uint32_t>(
                 std::lower_bound(distinct.begin(), distinct.end(),
-                                 _priority[i], std::greater<>{}) -
+                                 priority[i], std::greater<>{}) -
                 distinct.begin());
     }
 
-    _remaining.resize(_total);
-    for (std::uint32_t i = 0; i < _total; ++i) {
-        _remaining[i] = dag.inDegree(i);
-        if (_remaining[i] == 0)
-            pushReady(i);
-    }
+    for (std::uint32_t i = 0; i < total; ++i)
+        if (dag.inDegree(i) == 0)
+            sources.push_back(readyKey(i));
+    std::sort(sources.begin(), sources.end());
+}
 
+IncrementalScheduler::IncrementalScheduler(
+    const circuit::DependencyGraph &dag, const ScheduleTables &tables,
+    unsigned blocks)
+    : _total(tables.size()),
+      _blocks(blocks),
+      _capped(blocks != unlimited_blocks),
+      _tables(&tables),
+      _succ_offset(dag.succOffsets().data()),
+      _succ(dag.succEdges().data()),
+      _remaining(dag.inDegrees()),
+      // Sorted ascending, the sources already form a valid min-heap.
+      _ready(tables.sources)
+{
+    if (dag.size() != tables.size())
+        qmh_panic("IncrementalScheduler: ", tables.size(),
+                  "-gate tables for a ", dag.size(), "-gate DAG");
     if (_capped) {
         _free_words.assign((blocks + 63) / 64, 0);
         for (std::uint32_t b = 0; b < blocks; ++b)
@@ -218,19 +293,13 @@ IncrementalScheduler::IncrementalScheduler(
 void
 IncrementalScheduler::pushReady(std::uint32_t index)
 {
-    _ready.push_back((static_cast<std::uint64_t>(_rank[index]) << 32) |
-                     index);
-    std::push_heap(_ready.begin(), _ready.end(), std::greater<>{});
+    heapPush(_ready, _tables->readyKey(index));
 }
 
 std::uint32_t
 IncrementalScheduler::popReady()
 {
-    std::pop_heap(_ready.begin(), _ready.end(), std::greater<>{});
-    const auto index =
-        static_cast<std::uint32_t>(_ready.back() & 0xffffffffu);
-    _ready.pop_back();
-    return index;
+    return static_cast<std::uint32_t>(heapPop(_ready) & 0xffffffffu);
 }
 
 std::uint32_t
@@ -272,7 +341,7 @@ IncrementalScheduler::claim()
     ++_claimed;
     ++_in_flight;
     _peak_in_flight = std::max(_peak_in_flight, _in_flight);
-    return IssueClaim{index, allocBlock(), _latency[index]};
+    return IssueClaim{index, allocBlock(), _tables->latency[index]};
 }
 
 std::uint32_t
@@ -285,7 +354,7 @@ IncrementalScheduler::claimBatch(std::vector<IssueClaim> &out)
         ++_in_flight;
         _peak_in_flight = std::max(_peak_in_flight, _in_flight);
         out.push_back(IssueClaim{index, allocBlock(),
-                                 _latency[index]});
+                                 _tables->latency[index]});
         ++issued;
     }
     return issued;
@@ -321,18 +390,23 @@ listSchedule(const circuit::Program &program,
              const circuit::DependencyGraph &dag,
              const LatencyModel &latency, unsigned blocks)
 {
-    const auto m =
-        static_cast<std::uint32_t>(program.instructions().size());
+    const ScheduleTables tables(program, dag, latency);
+    return listSchedule(dag, tables, blocks);
+}
+
+ScheduleResult
+listSchedule(const circuit::DependencyGraph &dag,
+             const ScheduleTables &tables, unsigned blocks)
+{
+    const auto m = tables.size();
 
     ScheduleResult result;
     result.blocks_requested = blocks;
     result.start.assign(m, 0);
     result.block.assign(m, 0);
-    IncrementalScheduler scheduler(program, dag, latency, blocks);
-    result._latency.resize(m);
-    for (std::uint32_t i = 0; i < m; ++i)
-        result._latency[i] = scheduler.latencyOf(i);
-    result.busy_block_steps = scheduler.busyBlockSteps();
+    IncrementalScheduler scheduler(dag, tables, blocks);
+    result._latency = tables.latency;
+    result.busy_block_steps = tables.busy_steps;
     if (m == 0)
         return result;
 
@@ -373,6 +447,79 @@ listSchedule(const circuit::Program &program,
     result.makespan = now;
     result.blocks_used = scheduler.blocksUsed();
     return result;
+}
+
+std::uint64_t
+listScheduleMakespan(const circuit::DependencyGraph &dag,
+                     const ScheduleTables &tables, unsigned blocks)
+{
+    const auto m = tables.size();
+    if (dag.size() != m)
+        qmh_panic("listScheduleMakespan: ", m, "-gate tables for a ",
+                  dag.size(), "-gate DAG");
+    if (m == 0)
+        return 0;
+    // Every in-flight gate finishes within max_latency steps of now,
+    // so a wheel of more slots than that never aliases two instants.
+    // Beyond a few thousand slots the wheel stops paying off.
+    constexpr std::uint32_t max_wheel_latency = 4095;
+    if (tables.max_latency > max_wheel_latency)
+        return listSchedule(dag, tables, blocks).makespan;
+
+    constexpr std::uint32_t none = 0xffffffffu;
+    const std::uint64_t mask =
+        std::bit_ceil(std::uint64_t{tables.max_latency} + 1) - 1;
+    // Slot heads of intrusive lists threaded through `next`. The
+    // order within one instant does not matter: all of them retire
+    // before the next claim, and ready pops are ordered by key.
+    std::vector<std::uint32_t> head(mask + 1, none);
+    std::vector<std::uint32_t> next(m);
+    std::vector<int> remaining = dag.inDegrees();
+    std::vector<std::uint64_t> ready = tables.sources;
+    const auto &succ_offset = dag.succOffsets();
+    const auto &succ = dag.succEdges();
+
+    const bool capped = blocks != unlimited_blocks;
+    std::uint32_t free_blocks = blocks;
+    std::uint32_t in_flight = 0;
+    std::uint32_t completed = 0;
+    std::uint64_t now = 0;
+    for (;;) {
+        // Claim the ready front while blocks are free.
+        while (!ready.empty() && !(capped && free_blocks == 0)) {
+            const auto index =
+                static_cast<std::uint32_t>(heapPop(ready) & 0xffffffffu);
+            free_blocks -= capped ? 1 : 0;
+            ++in_flight;
+            auto &slot = head[(now + tables.latency[index]) & mask];
+            next[index] = slot;
+            slot = index;
+        }
+        if (in_flight == 0)
+            break;
+
+        // Advance to the next completion instant and retire it.
+        while (head[now & mask] == none)
+            ++now;
+        auto index = head[now & mask];
+        head[now & mask] = none;
+        while (index != none) {
+            --in_flight;
+            ++completed;
+            free_blocks += capped ? 1 : 0;
+            for (auto e = succ_offset[index]; e < succ_offset[index + 1];
+                 ++e) {
+                const auto s = succ[e];
+                if (--remaining[s] == 0)
+                    heapPush(ready, tables.readyKey(s));
+            }
+            index = next[index];
+        }
+    }
+    if (completed != m)
+        qmh_panic("scheduler deadlock: ", m - completed,
+                  " gates unscheduled (cyclic DAG?)");
+    return now;
 }
 
 ScheduleResult

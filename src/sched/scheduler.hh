@@ -7,9 +7,13 @@
  * event-driven issue. B = 0 means unlimited resources — the QLA
  * "sea-of-qubits" baseline where computation may happen anywhere.
  *
- * Two forms share one issue policy:
+ * Three forms share one issue policy over one set of ScheduleTables
+ * (per-gate latency and critical-path rank, computed once per program
+ * and latency model):
  *  - listSchedule() runs the whole program against an internal
  *    completion clock and returns the batch ScheduleResult;
+ *  - listScheduleMakespan() runs the same decisions but keeps only
+ *    the makespan (the trace engine's flat baseline);
  *  - IncrementalScheduler exposes the same claim/complete decisions
  *    one instruction at a time, so an external event loop (the trace
  *    engine's discrete-event pipeline, trace/engine.hh) can interleave
@@ -37,6 +41,8 @@ namespace sched {
 
 /** Unlimited-resources marker for listSchedule(). */
 constexpr unsigned unlimited_blocks = 0;
+
+struct ScheduleTables;
 
 /**
  * One maximal run of constant parallelism: @p in_flight gates are
@@ -118,13 +124,65 @@ struct ScheduleResult
     double utilization() const;
 
   private:
-    friend ScheduleResult listSchedule(const circuit::Program &,
-                                       const circuit::DependencyGraph &,
-                                       const LatencyModel &, unsigned);
+    friend ScheduleResult listSchedule(const circuit::DependencyGraph &,
+                                       const ScheduleTables &,
+                                       unsigned);
     friend ScheduleResult roundSchedule(const circuit::Program &,
                                         const circuit::DependencyGraph &,
                                         const LatencyModel &, unsigned);
     std::vector<std::uint32_t> _latency;  // per-gate, for profiles
+};
+
+/**
+ * The read-only inputs of the issue policy for one program under one
+ * latency model: per-gate latency, critical-path rank and the initial
+ * ready front. Built once, then borrowed by any number of schedulers
+ * (IncrementalScheduler, listSchedule, listScheduleMakespan) over the
+ * same program, on any thread.
+ */
+struct ScheduleTables
+{
+    ScheduleTables(const circuit::Program &program,
+                   const circuit::DependencyGraph &dag,
+                   const LatencyModel &latency);
+
+    /** Gate-step latency of each instruction. */
+    std::vector<std::uint32_t> latency;
+
+    /**
+     * Critical-path rank of each instruction: any monotone
+     * priority-descending mapping of the longest weighted path to a
+     * sink (smaller = higher priority).
+     */
+    std::vector<std::uint32_t> rank;
+
+    /**
+     * Ready keys (readyKey()) of the zero in-degree instructions in
+     * ascending order — already a valid min-heap.
+     */
+    std::vector<std::uint64_t> sources;
+
+    /** Sum over all instructions of their latency. */
+    std::uint64_t busy_steps = 0;
+
+    /** Largest single-instruction latency. */
+    std::uint32_t max_latency = 0;
+
+    std::uint32_t
+    size() const
+    {
+        return static_cast<std::uint32_t>(latency.size());
+    }
+
+    /**
+     * Ready-set key of instruction @p index: priority first, program
+     * position within a priority, in one packed integer.
+     */
+    std::uint64_t
+    readyKey(std::uint32_t index) const
+    {
+        return (static_cast<std::uint64_t>(rank[index]) << 32) | index;
+    }
 };
 
 /** One claimed instruction: what to run, where, and for how long. */
@@ -148,9 +206,12 @@ struct IssueClaim
 class IncrementalScheduler
 {
   public:
-    IncrementalScheduler(const circuit::Program &program,
-                         const circuit::DependencyGraph &dag,
-                         const LatencyModel &latency, unsigned blocks);
+    /**
+     * Borrow @p dag and @p tables (both must outlive the scheduler):
+     * only the per-run mutable state is allocated.
+     */
+    IncrementalScheduler(const circuit::DependencyGraph &dag,
+                         const ScheduleTables &tables, unsigned blocks);
 
     /**
      * Claim the highest-priority ready instruction, allocating a
@@ -199,11 +260,11 @@ class IncrementalScheduler
     /** Gate-step latency of instruction @p index. */
     std::uint32_t latencyOf(std::uint32_t index) const
     {
-        return _latency[index];
+        return _tables->latency[index];
     }
 
     /** Sum over all instructions of their latency. */
-    std::uint64_t busyBlockSteps() const { return _busy_block_steps; }
+    std::uint64_t busyBlockSteps() const { return _tables->busy_steps; }
 
   private:
     void pushReady(std::uint32_t index);
@@ -219,24 +280,19 @@ class IncrementalScheduler
     bool _capped = false;
     unsigned _next_fresh_block = 0;
     unsigned _peak_in_flight = 0;
-    std::uint64_t _busy_block_steps = 0;
 
-    std::vector<std::uint32_t> _latency;
-    std::vector<std::uint64_t> _priority;
-    std::vector<std::int32_t> _remaining;
+    const ScheduleTables *_tables = nullptr;
+    // The DAG's successor adjacency in compressed-sparse-row form,
+    // borrowed so claim/complete walk contiguous memory without a
+    // per-run copy.
+    const std::uint32_t *_succ_offset = nullptr;  // size _total + 1
+    const std::uint32_t *_succ = nullptr;
 
-    // Successor adjacency in compressed-sparse-row form, built once
-    // from the DAG so claim/complete never chase per-node vectors.
-    std::vector<std::uint32_t> _succ_offset;  // size _total + 1
-    std::vector<std::uint32_t> _succ;
+    std::vector<int> _remaining;
 
-    // Ready set: one min-heap of (rank << 32 | index) keys, where
-    // rank is any monotone priority-descending mapping (smaller =
-    // higher critical-path priority). The packed key orders by
-    // priority first and program position within a priority, in a
-    // single flat vector — no per-priority bucket allocation, one
+    // Ready set: one min-heap of ScheduleTables::readyKey() values in
+    // a single flat vector — no per-priority bucket allocation, one
     // heap operation per push/pop.
-    std::vector<std::uint32_t> _rank;
     std::vector<std::uint64_t> _ready;
 
     // Free block ids as a bitmask (bit b of word w = block 64w + b is
@@ -263,6 +319,23 @@ ScheduleResult listSchedule(const circuit::Program &program,
 ScheduleResult listSchedule(const circuit::Program &program,
                             const LatencyModel &latency,
                             unsigned blocks);
+
+/** listSchedule() over prebuilt tables of the program behind @p dag. */
+ScheduleResult listSchedule(const circuit::DependencyGraph &dag,
+                            const ScheduleTables &tables,
+                            unsigned blocks);
+
+/**
+ * listSchedule(...).makespan without the per-gate result arrays or
+ * block ids: a completion wheel over the integer latencies, falling
+ * back to listSchedule() when a latency is too large for the wheel.
+ * Ready pops follow the same (rank, index) keys and every completion
+ * at one instant retires before the next claim, so the makespan is
+ * identical.
+ */
+std::uint64_t listScheduleMakespan(const circuit::DependencyGraph &dag,
+                                   const ScheduleTables &tables,
+                                   unsigned blocks);
 
 /**
  * Round-synchronous schedule: instructions issue in the program's

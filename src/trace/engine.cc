@@ -1,10 +1,7 @@
 #include "engine.hh"
 
 #include <algorithm>
-#include <cstring>
-#include <mutex>
-#include <string>
-#include <utility>
+#include <optional>
 #include <vector>
 
 #include "cache/cache_sim.hh"
@@ -19,84 +16,6 @@ namespace qmh {
 namespace trace {
 
 namespace {
-
-/**
- * Memo for the flat-baseline makespan. A design-space sweep runs the
- * same workload at many channel/capacity points, and the no-cache
- * baseline schedule depends only on (instruction stream, latency
- * model, block count) — for the 24-point trace grid that is 2
- * distinct schedules computed 24 times. Keys are the exact serialized
- * inputs (not a hash), so a hit is byte-for-byte the same computation
- * and every result row stays bit-identical with the memo disabled.
- * Thread-safe: sweeps fan runTrace() out across worker threads. The
- * store is bounded; eviction clears it wholesale, which at most costs
- * a recompute.
- */
-class FlatBaselineMemo
-{
-  public:
-    std::uint64_t
-    makespan(const circuit::Program &program,
-             const circuit::DependencyGraph &dag,
-             const sched::LatencyModel &latency, unsigned blocks)
-    {
-        std::string key = serialize(program, latency, blocks);
-        {
-            std::lock_guard<std::mutex> lock(_mutex);
-            for (const auto &entry : _entries)
-                if (entry.first == key)
-                    return entry.second;
-        }
-        // Compute outside the lock; a racing duplicate insert is
-        // benign (identical value, bounded store).
-        const auto flat =
-            sched::listSchedule(program, dag, latency, blocks);
-        std::lock_guard<std::mutex> lock(_mutex);
-        if (_entries.size() >= max_entries)
-            _entries.clear();
-        _entries.emplace_back(std::move(key), flat.makespan);
-        return flat.makespan;
-    }
-
-  private:
-    static constexpr std::size_t max_entries = 32;
-
-    static std::string
-    serialize(const circuit::Program &program,
-              const sched::LatencyModel &latency, unsigned blocks)
-    {
-        std::string key;
-        key.reserve(16 + 16 * program.size());
-        appendBits(key, blocks);
-        appendBits(key, latency.single);
-        appendBits(key, latency.cnot);
-        appendBits(key, latency.cphase);
-        appendBits(key, latency.swap);
-        appendBits(key, latency.toffoli);
-        for (const auto &inst : program.instructions()) {
-            key.push_back(static_cast<char>(inst.kind));
-            key.push_back(static_cast<char>(inst.arity));
-            for (const auto q : inst.operands())
-                appendBits(key, q.value());
-            appendBits(key, inst.param);
-        }
-        return key;
-    }
-
-    template <typename T>
-    static void
-    appendBits(std::string &key, T value)
-    {
-        char bytes[sizeof(T)];
-        std::memcpy(bytes, &value, sizeof(T));
-        key.append(bytes, sizeof(T));
-    }
-
-    std::mutex _mutex;
-    std::vector<std::pair<std::string, std::uint64_t>> _entries;
-};
-
-FlatBaselineMemo flat_baseline_memo;
 
 /**
  * Per-run issue pipeline state. Bundling it behind one pointer keeps
@@ -117,69 +36,55 @@ struct EngineCtx
     Tick step1;
     Tick per_transfer;
 
-    std::vector<Tick> start;
-    std::vector<Tick> duration;
-    // Transfers still outstanding before a claimed gate may compute.
-    std::vector<std::uint32_t> waiting;
+    // Transfers still outstanding before a claimed gate may compute,
+    // by the block it claimed (unique among outstanding claims).
+    std::vector<std::uint32_t> waiting{};
     std::uint64_t writebacks = 0;
 
-    // Compute begin/end instants in event-execution order (each
-    // stream is non-decreasing because simulated time only moves
-    // forward), recorded for the peak-concurrency merge below —
-    // zero-duration gates occupy no block time and are skipped.
-    std::vector<Tick> begin_times;
-    std::vector<Tick> end_times;
+    // Gates computing now, and the peak of that count over instants
+    // (Fig. 2 at tick resolution). The count is sampled only when
+    // time moves on, so every begin and end at one instant lands
+    // before its sample: ends retire before starts at the same
+    // instant. Zero-duration gates occupy no block time and are
+    // skipped.
+    std::uint32_t computing = 0;
+    std::uint32_t peak_computing = 0;
+    Tick instant = 0;
 
     // Reused per-gate scratch.
-    std::vector<sched::IssueClaim> front;
-    std::vector<circuit::QubitId> missing;
-    std::vector<circuit::QubitId> evicted;
+    std::vector<sched::IssueClaim> front{};
+    std::vector<circuit::QubitId> missing{};
+    std::vector<circuit::QubitId> evicted{};
+
+    void
+    noteCompute(bool begins)
+    {
+        if (eq.now() != instant) {
+            peak_computing = std::max(peak_computing, computing);
+            instant = eq.now();
+        }
+        computing += begins ? 1 : -1;
+    }
 
     void
     beginCompute(const sched::IssueClaim &claimed)
     {
-        start[claimed.index] = eq.now();
-        duration[claimed.index] =
-            static_cast<Tick>(claimed.latency) * step1;
-        if (duration[claimed.index] > 0)
-            begin_times.push_back(eq.now());
-        eq.scheduleAfter(duration[claimed.index], [this, claimed] {
-            if (duration[claimed.index] > 0)
-                end_times.push_back(eq.now());
+        const Tick duration = static_cast<Tick>(claimed.latency) * step1;
+        if (duration > 0)
+            noteCompute(true);
+        eq.scheduleAfter(duration, [this, claimed] {
+            if (static_cast<Tick>(claimed.latency) * step1 > 0)
+                noteCompute(false);
             scheduler.complete(claimed);
             pump();
         });
     }
 
-    /**
-     * Peak concurrently-computing gates: one merge over the two
-     * sorted time streams, retiring ends before starts at the same
-     * instant — the same tie order (and therefore the same value) as
-     * delta-counting a fully sorted event list, without the sort.
-     */
+    /** Peak gates computing at once, once the run has drained. */
     std::uint32_t
     peakInFlight() const
     {
-        std::uint32_t peak = 0;
-        std::uint32_t current = 0;
-        std::size_t b = 0;
-        std::size_t e = 0;
-        while (b < begin_times.size()) {
-            const Tick t = e < end_times.size() &&
-                                   end_times[e] <= begin_times[b]
-                               ? end_times[e]
-                               : begin_times[b];
-            while (e < end_times.size() && end_times[e] == t) {
-                --current;
-                ++e;
-            }
-            while (b < begin_times.size() && begin_times[b] == t) {
-                ++current;
-                ++b;
-            }
-            peak = std::max(peak, current);
-        }
-        return peak;
+        return std::max(peak_computing, computing);
     }
 
     void
@@ -204,7 +109,9 @@ struct EngineCtx
             beginCompute(claimed);
             return;
         }
-        waiting[claimed.index] =
+        if (claimed.block >= waiting.size())
+            waiting.resize(claimed.block + 1);
+        waiting[claimed.block] =
             static_cast<std::uint32_t>(missing.size());
         for (const auto qubit : missing) {
             // Fill: the owning bank serves the line, then the wire
@@ -212,7 +119,7 @@ struct EngineCtx
             memory.request(qubit.value(), 1, [this, claimed] {
                 channels.transfer(
                     per_transfer, per_transfer, [this, claimed] {
-                        if (--waiting[claimed.index] == 0)
+                        if (--waiting[claimed.block] == 0)
                             beginCompute(claimed);
                     });
             });
@@ -236,34 +143,27 @@ struct EngineCtx
 } // namespace
 
 TraceResult
-runTrace(const circuit::Workload &workload, const TraceConfig &config,
+runTrace(const CompiledWorkload &compiled, const TraceConfig &config,
          const iontrap::Params &params)
 {
-    const auto &program = workload.program;
+    const auto &program = compiled.program();
     if (config.capacity == 0)
         qmh_fatal("trace: cache capacity must be nonzero");
     if (config.transfers == 0)
         qmh_fatal("trace: need at least one transfer channel");
-    if (!workload.cacheable.empty() &&
-        workload.cacheable.size() !=
-            static_cast<std::size_t>(program.qubitCount()))
-        qmh_fatal("trace: cacheable mask size ",
-                  workload.cacheable.size(), " != qubit count ",
-                  program.qubitCount());
 
     const auto m = static_cast<std::uint32_t>(program.size());
     TraceResult result;
     result.instructions = m;
 
-    const circuit::DependencyGraph dag(program);
     const auto code = ecc::Code::byKind(config.code);
 
     // Flat baseline: the identical issue policy with every qubit at
     // level 2 — no cache, no transfers, only the slower step time.
-    // Memoized: within a sweep every point over the same workload and
-    // block count shares this schedule.
-    const auto flat_makespan = flat_baseline_memo.makespan(
-        program, dag, config.latency, config.blocks);
+    // Kept on the compiled workload, so every point of a sweep over
+    // it with the same block count shares one schedule.
+    const auto flat_makespan =
+        compiled.flatMakespan(config.blocks, config.latency);
     result.baseline_s = static_cast<double>(flat_makespan) *
                         code.gateStepTime(2, params);
     if (m == 0)
@@ -289,17 +189,18 @@ runTrace(const circuit::Workload &workload, const TraceConfig &config,
     mem_config.cycles_per_request = std::max<Tick>(1, per_transfer);
     mem_config.cycles_per_line = config.cycles_per_line;
     sim::BankedMemory memory(eq, "l2-memory", mem_config);
-    cache::CacheState cache(config.capacity, workload.cacheable);
-    sched::IncrementalScheduler scheduler(program, dag, config.latency,
+    cache::CacheState cache(config.capacity,
+                            compiled.workload().cacheable);
+    std::optional<sched::ScheduleTables> other;
+    const auto &tables =
+        config.latency == compiled.latency()
+            ? compiled.tables()
+            : other.emplace(program, compiled.dag(), config.latency);
+    sched::IncrementalScheduler scheduler(compiled.dag(), tables,
                                           config.blocks);
 
-    EngineCtx ctx{program,  eq,    channels, memory,
-                  cache,    scheduler, step1, per_transfer,
-                  std::vector<Tick>(m, 0), std::vector<Tick>(m, 0),
-                  std::vector<std::uint32_t>(m, 0),
-                  0,        {},    {},       {},     {},  {}};
-    ctx.begin_times.reserve(m);
-    ctx.end_times.reserve(m);
+    EngineCtx ctx{program, eq, channels, memory, cache, scheduler,
+                  step1, per_transfer};
 
     eq.schedule(0, [&ctx] { ctx.pump(); });
     eq.run();
@@ -336,9 +237,8 @@ runTrace(const circuit::Workload &workload, const TraceConfig &config,
 
     result.blocks_used = scheduler.blocksUsed();
 
-    Tick busy = 0;
-    for (const auto d : ctx.duration)
-        busy += d;
+    // Every gate computes for latency * step1 ticks.
+    const Tick busy = tables.busy_steps * step1;
     const double block_capacity =
         static_cast<double>(makespan) *
         static_cast<double>(result.blocks_used);
@@ -353,6 +253,14 @@ runTrace(const circuit::Workload &workload, const TraceConfig &config,
 
     result.events_executed = eq.executed();
     return result;
+}
+
+TraceResult
+runTrace(const circuit::Workload &workload, const TraceConfig &config,
+         const iontrap::Params &params)
+{
+    return runTrace(CompiledWorkload(workload, config.latency), config,
+                    params);
 }
 
 } // namespace trace

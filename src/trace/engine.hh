@@ -48,6 +48,7 @@
 #include "iontrap/params.hh"
 #include "sched/latency.hh"
 #include "sched/scheduler.hh"
+#include "trace/compiled.hh"
 
 namespace qmh {
 namespace trace {
@@ -120,14 +121,23 @@ struct TraceResult
 };
 
 /**
- * Execute @p workload through the hierarchy under @p config /
+ * Execute @p compiled through the hierarchy under @p config /
  * @p params. The workload's cacheable mask (empty = everything
  * cacheable) decides which qubits cross the memory hierarchy; its
  * program may come from any registered generator or a parsed
  * text-format circuit — the engine only sees the instruction DAG.
- * Panics on a malformed workload (mask size mismatch, zero capacity
- * or channels); validate specs at the api layer for recoverable
- * diagnostics.
+ * Borrows the compiled DAG and schedule tables (rebuilding the
+ * tables only when config.latency differs from the compiled model).
+ * Panics on a malformed config (zero capacity or channels); validate
+ * specs at the api layer for recoverable diagnostics.
+ */
+TraceResult runTrace(const CompiledWorkload &compiled,
+                     const TraceConfig &config,
+                     const iontrap::Params &params);
+
+/**
+ * Compile @p workload for this one run, then runTrace() it. Panics
+ * on a cacheable mask of the wrong size as well.
  */
 TraceResult runTrace(const circuit::Workload &workload,
                      const TraceConfig &config,

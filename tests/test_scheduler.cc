@@ -264,7 +264,8 @@ TEST(IncrementalSchedule, DrivesIdenticallyToBatch)
     LatencyModel lat;
     const auto batch = listSchedule(prog, dag, lat, 4);
 
-    IncrementalScheduler inc(prog, dag, lat, 4);
+    const ScheduleTables tables(prog, dag, lat);
+    IncrementalScheduler inc(dag, tables, 4);
     std::vector<std::uint64_t> start(prog.size(), 0);
     // (finish, index) ordered retirement, like the batch driver.
     std::vector<std::pair<std::uint64_t, IssueClaim>> running;
@@ -300,10 +301,10 @@ TEST(IncrementalSchedule, ClaimBatchMatchesRepeatedClaimExactly)
     const auto prog = gen::draperAdder(
         16, true, nullptr, gen::UncomputeMode::CarriesLeftDirty);
     circuit::DependencyGraph dag(prog);
-    LatencyModel lat;
+    const ScheduleTables tables(prog, dag, LatencyModel{});
     for (const unsigned blocks : {0u, 3u, 8u}) {
-        IncrementalScheduler one(prog, dag, lat, blocks);
-        IncrementalScheduler batch(prog, dag, lat, blocks);
+        IncrementalScheduler one(dag, tables, blocks);
+        IncrementalScheduler batch(dag, tables, blocks);
         std::vector<std::pair<std::uint64_t, IssueClaim>> running;
         std::uint64_t now = 0;
         while (!one.finished()) {
@@ -347,8 +348,8 @@ TEST(IncrementalSchedule, ClaimRespectsBlockCapAndReadiness)
     p.cnot(QubitId(2), QubitId(3));
     p.cnot(QubitId(1), QubitId(2));  // depends on both
     circuit::DependencyGraph dag(p);
-    LatencyModel lat;
-    IncrementalScheduler inc(p, dag, lat, 1);
+    const ScheduleTables tables(p, dag, LatencyModel{});
+    IncrementalScheduler inc(dag, tables, 1);
 
     const auto first = inc.claim();
     ASSERT_TRUE(first.has_value());

@@ -408,6 +408,45 @@ TEST(Server, OversizedRequestLineIsRefusedInBand)
     EXPECT_EQ(joined(records.value()), stdioReference(line + "\n"));
 }
 
+TEST(Server, ManySmallRequestsStreamEveryRow)
+{
+    // Tiny jobs finish within microseconds, so a job often retires
+    // between the loop's row harvest and its finished check. Every
+    // row must still reach the stream: done reports rows == total and
+    // no cancellation, on every request.
+    auto created = server::Server::create(testConfig());
+    ASSERT_TRUE(created.ok()) << created.error().describe();
+    auto &server = *created.value();
+    Serving serving(server);
+
+    auto client = server::Client::connect("127.0.0.1", server.port());
+    ASSERT_TRUE(client.ok()) << client.error().describe();
+    std::size_t truncated = 0;
+    for (std::size_t r = 0; r < 600; ++r) {
+        const std::size_t points = 1 + r % 4;
+        std::vector<std::string> specs;
+        for (std::size_t i = 0; i < points; ++i)
+            specs.push_back("experiment=bandwidth blocks=" +
+                            std::to_string(1 + (r + i) % 97));
+        const auto records = client.value().request(
+            requestLine("small-" + std::to_string(r), specs));
+        ASSERT_TRUE(records.ok()) << records.error().describe();
+        ASSERT_FALSE(records.value().empty());
+        const std::string expected =
+            "\"rows\":" + std::to_string(points) +
+            ",\"total\":" + std::to_string(points) +
+            ",\"cancelled\":false}";
+        const auto &done = records.value().back();
+        if (done.find(expected) == std::string::npos) {
+            ++truncated;
+            ADD_FAILURE() << "request " << r << " ended " << done;
+        }
+        EXPECT_EQ(records.value().size(), points + 2);
+    }
+    EXPECT_EQ(truncated, 0u);
+    ASSERT_TRUE(client.value().shutdownServer().ok());
+}
+
 TEST(Server, DisconnectCancelsTheJobAndFreesTheClient)
 {
     auto created = server::Server::create(testConfig());

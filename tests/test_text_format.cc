@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "circuit/text_format.hh"
 
 namespace qmh {
@@ -54,6 +56,14 @@ struct BadInput
     const char *text;
     const char *reason;
 };
+
+// Name each case by its reason: gtest's default rendering of this struct is
+// its raw bytes, i.e. two string-literal addresses that change from run to run.
+void
+PrintTo(const BadInput &input, std::ostream *os)
+{
+    *os << input.reason;
+}
 
 class ParseErrors : public ::testing::TestWithParam<BadInput>
 {};

@@ -13,6 +13,9 @@
 #include "api/workload.hh"
 #include "circuit/text_format.hh"
 #include "opt/cached_sweep.hh"
+#include "sched/scheduler.hh"
+#include "sweep/sweep.hh"
+#include "trace/compiled.hh"
 #include "trace/engine.hh"
 
 namespace qmh {
@@ -568,6 +571,204 @@ TEST(TraceErrors, UnknownMemKnobSuggestsTheNearestKey)
     EXPECT_NE(message.find("did you mean 'mem_banks'?"),
               std::string::npos)
         << message;
+}
+
+/** Every registry workload at a small size, a barrier-heavy text
+ * circuit and an empty program. */
+std::vector<std::pair<std::string, circuit::Program>>
+flatPrograms()
+{
+    std::vector<std::pair<std::string, circuit::Program>> programs;
+    for (const auto &name : api::workloadNames()) {
+        api::ExperimentSpec spec;
+        spec.workload = name;
+        spec.n = 16;
+        spec.gates = 400;
+        spec.reps = 2;
+        Random rng(3);
+        programs.emplace_back(name, api::buildWorkload(spec, rng).program);
+    }
+    const auto parsed = circuit::parseText(
+        "name barriers\nqubits 5\nh q0\ncnot q0 q1\nbarrier\n"
+        "toffoli q1 q2 q3\nx q4\nbarrier\nbarrier\nswap q3 q4\n"
+        "cphase 3 q0 q2\nbarrier\nt q1\n");
+    EXPECT_TRUE(parsed.ok) << parsed.error;
+    programs.emplace_back("barriers", parsed.program);
+    programs.emplace_back("empty", circuit::Program("empty", 4));
+    return programs;
+}
+
+TEST(FlatBaseline, MakespanOnlyLoopMatchesListSchedule)
+{
+    // Default latencies; zero-latency CNOTs with a wheel-sized
+    // Toffoli; and latencies past both the wheel (listSchedule
+    // fallback) and 32-bit busy steps (dense-rank fallback).
+    sched::LatencyModel zero_cnot;
+    zero_cnot.cnot = 0;
+    zero_cnot.toffoli = 4095;
+    sched::LatencyModel huge;
+    huge.single = 1000000007;
+    huge.cnot = 2000000011;
+    huge.swap = 4000000000u;
+    const std::vector<sched::LatencyModel> models = {
+        sched::LatencyModel{}, zero_cnot, huge};
+    for (const auto &[name, program] : flatPrograms()) {
+        const circuit::DependencyGraph dag(program);
+        const CompiledWorkload compiled(api::Workload{program, {}, 0});
+        for (const auto &latency : models) {
+            const sched::ScheduleTables tables(program, dag, latency);
+            for (const unsigned blocks :
+                 {1u, 16u, 49u, sched::unlimited_blocks}) {
+                const auto expected =
+                    sched::listSchedule(program, dag, latency, blocks)
+                        .makespan;
+                EXPECT_EQ(sched::listScheduleMakespan(dag, tables, blocks),
+                          expected)
+                    << name << " blocks=" << blocks
+                    << " toffoli=" << latency.toffoli;
+                EXPECT_EQ(compiled.flatMakespan(blocks, latency), expected)
+                    << name << " blocks=" << blocks;
+            }
+        }
+    }
+}
+
+TEST(FlatBaseline, CompiledRunMatchesPerRunCompile)
+{
+    // runTrace over a compiled workload is the same run as the
+    // Workload overload, which compiles for that one call — the
+    // borrowed tables and the kept flat makespan change nothing.
+    const auto workload = draperWorkload(32);
+    const CompiledWorkload compiled(workload);
+    const auto params = iontrap::Params::future();
+    for (const unsigned blocks : {4u, 16u, sched::unlimited_blocks}) {
+        TraceConfig config;
+        config.blocks = blocks;
+        config.transfers = 3;
+        config.capacity = 24;
+        for (int pass = 0; pass < 2; ++pass) {
+            const auto a = runTrace(compiled, config, params);
+            const auto b = runTrace(workload, config, params);
+            EXPECT_EQ(a.makespan_s, b.makespan_s);
+            EXPECT_EQ(a.baseline_s, b.baseline_s);
+            EXPECT_EQ(a.misses, b.misses);
+            EXPECT_EQ(a.peak_in_flight, b.peak_in_flight);
+            EXPECT_EQ(a.mean_in_flight, b.mean_in_flight);
+            EXPECT_EQ(a.events_executed, b.events_executed);
+        }
+        // A latency model other than the compiled one rebuilds the
+        // tables for that run instead of borrowing the wrong ones.
+        config.latency.toffoli = 7;
+        const auto a = runTrace(compiled, config, params);
+        const auto b = runTrace(workload, config, params);
+        EXPECT_EQ(a.makespan_s, b.makespan_s);
+        EXPECT_EQ(a.baseline_s, b.baseline_s);
+    }
+}
+
+/** A mixed trace grid: shared adders and QFT, per-point random. */
+std::vector<api::ExperimentSpec>
+mixedCompileGrid()
+{
+    std::vector<api::ExperimentSpec> specs;
+    for (const char *workload : {"draper", "qft", "random", "modexp"}) {
+        api::SpecGrid grid;
+        grid.base = api::parseSpec(std::string("experiment=trace n=16 "
+                                               "gates=200 reps=2 "
+                                               "capacity=12 workload=") +
+                                   workload)
+                        .spec;
+        grid.axis("transfers", {"1", "4"});
+        grid.axis("blocks", {"4", "16"});
+        for (auto &spec : grid.expand())
+            specs.push_back(std::move(spec));
+    }
+    return specs;
+}
+
+TEST(CompiledSharing, SharedRowsEqualPerPointCompiledRows)
+{
+    const auto specs = mixedCompileGrid();
+    const std::uint64_t seed = 31;
+    const auto shared =
+        api::runSpecSweep(specs, {.threads = 2, .base_seed = seed});
+
+    // Each point on its own: a fresh experiment, so a fresh compile.
+    auto columns = api::makeExperiment(specs.front())->columns();
+    columns.emplace_back("seed");
+    sweep::ResultTable alone(columns);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const auto point_seed = sweep::pointSeed(seed, i);
+        Random rng(point_seed);
+        auto row = api::makeExperiment(specs[i])->run(rng);
+        row.emplace_back(point_seed);
+        alone.addRow(std::move(row));
+    }
+    EXPECT_EQ(csvOf(shared), csvOf(alone));
+}
+
+TEST(CompiledSharing, SameCircuitSpecsShareOneCompileAndRandomNever)
+{
+    const auto spec = [](const std::string &text) {
+        return api::parseSpec(text).spec;
+    };
+    const std::vector<api::ExperimentSpec> specs = {
+        spec("experiment=trace workload=draper n=16 transfers=1"),
+        spec("experiment=trace workload=draper n=16 transfers=4 "
+             "blocks=8 capacity_x=2"),
+        spec("experiment=trace workload=draper n=24"),
+        spec("experiment=trace workload=draper n=16 mask_data=0"),
+        spec("experiment=trace workload=random n=16 gates=100"),
+        spec("experiment=trace workload=random n=16 gates=100 "
+             "transfers=4"),
+        spec("experiment=trace workload=qft n=16"),
+        spec("experiment=trace workload=qft n=16 blocks=4"),
+    };
+    auto batch = api::validateExperiments(specs);
+    ASSERT_TRUE(batch.ok()) << batch.error().describe();
+    const auto &experiments = batch.value();
+    const auto compiled = [&](std::size_t i) {
+        return api::sharedCompiledWorkload(*experiments[i]);
+    };
+    ASSERT_NE(compiled(0), nullptr);
+    EXPECT_EQ(compiled(0), compiled(1));
+    EXPECT_NE(compiled(0), compiled(2));
+    EXPECT_NE(compiled(0), compiled(3));
+    EXPECT_EQ(compiled(4), nullptr);
+    EXPECT_EQ(compiled(5), nullptr);
+    ASSERT_NE(compiled(6), nullptr);
+    EXPECT_EQ(compiled(6), compiled(7));
+    EXPECT_EQ(compiled(0)->program().size(),
+              draperWorkload(16).program.size());
+
+    // Another batch compiles its own: nothing outlives a batch.
+    auto again = api::validateExperiments(specs);
+    ASSERT_TRUE(again.ok());
+    EXPECT_NE(api::sharedCompiledWorkload(*again.value()[0]),
+              compiled(0));
+
+    // Other kinds have nothing to share.
+    const auto cache = api::makeExperiment(
+        spec("experiment=cache workload=draper n=16"));
+    EXPECT_EQ(api::sharedCompiledWorkload(*cache), nullptr);
+}
+
+TEST(CompiledSharing, EightThreadSweepOverOneWorkloadMatchesOneThread)
+{
+    // Every point races for the one compiled draper and its flat
+    // makespans at three block counts.
+    api::SpecGrid grid;
+    grid.base =
+        api::parseSpec("experiment=trace workload=draper n=32").spec;
+    grid.axis("transfers", {"1", "2", "4", "8"});
+    grid.axis("capacity_x", {"0.5", "1", "2"});
+    grid.axis("blocks", {"4", "16", "49"});
+    const auto specs = grid.expand();
+    const auto serial =
+        api::runSpecSweep(specs, {.threads = 1, .base_seed = 5});
+    const auto parallel =
+        api::runSpecSweep(specs, {.threads = 8, .base_seed = 5});
+    EXPECT_EQ(csvOf(serial), csvOf(parallel));
 }
 
 TEST(TraceEngineDeath, MalformedConfigPanics)
