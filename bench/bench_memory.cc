@@ -2,7 +2,9 @@
  * trace engine, plus raw component-kernel throughput under a
  * same-bank conflict storm and a spread access pattern. */
 
+#include <array>
 #include <cstdio>
+#include <functional>
 #include <iostream>
 
 #include "api/experiment.hh"
@@ -102,6 +104,48 @@ BM_BankedMemory(benchmark::State &state)
 BENCHMARK(BM_BankedMemory)
     ->ArgsProduct({{1, 8, 64}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
+
+/**
+ * The event kernel alone: a steady schedule/dispatch loop holding
+ * P = arg pending events. Each dispatched event reschedules itself
+ * after the next delta of a fixed cycle that matches the tick-delta
+ * mix of a draper n=256 trace sweep: 7/16 gate steps (46.65 ms),
+ * 6/16 code transfers (1.296 s) and 3/16 bank services (3.11 ms).
+ * P = 2 is the qft shape, 48 the draper/blocks=49 peak, and 1024 a
+ * large non-trace user. Reports host time per dispatched event.
+ */
+void
+BM_EventQueue(benchmark::State &state)
+{
+    constexpr Tick kGate = 46650000;
+    constexpr Tick kTransfer = 1296160000;
+    constexpr Tick kBank = 3110000;
+    constexpr std::array<Tick, 16> kDeltas = {
+        kGate, kTransfer, kBank,     kGate, kTransfer, kGate,
+        kBank, kTransfer, kGate,     kTransfer, kGate, kBank,
+        kGate, kTransfer, kGate,     kTransfer};
+    constexpr int kBatch = 1024;
+    const auto pending = static_cast<std::size_t>(state.range(0));
+    sim::EventQueue eq;
+    std::size_t next = 0;
+    std::function<void()> renew;
+    for (std::size_t i = 0; i < pending; ++i)
+        eq.schedule(kDeltas[i % kDeltas.size()], [&] { renew(); });
+    renew = [&] {
+        eq.scheduleAfter(kDeltas[next++ % kDeltas.size()],
+                         [&] { renew(); });
+    };
+    for (auto _ : state) {
+        for (int i = 0; i < kBatch; ++i)
+            eq.step();
+    }
+    benchmark::DoNotOptimize(eq.now());
+    state.counters["time_per_event"] = benchmark::Counter(
+        static_cast<double>(kBatch) *
+            static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EventQueue)->Arg(2)->Arg(48)->Arg(1024);
 
 /** One contended end-to-end trace run at each bank count. */
 void

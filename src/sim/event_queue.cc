@@ -1,25 +1,9 @@
 #include "event_queue.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace qmh {
 namespace sim {
-
-// Calendar invariants, maintained by insert()/refill()/growTo():
-//
-//  1. Pending events all have when >= _now, so every bucket key is
-//     >= _now >> _shift and bucket keys pairwise differ by less than
-//     bucket_count — each ring slot holds exactly one key.
-//  2. While _active is non-empty, every bucketed or far event
-//     dispatches after every active event: inserts keyed at or before
-//     _active_key join the active heap directly, and a window slide
-//     cannot occur until the active heap drains.
-//  3. _shift only grows. An old bucket's tick range is an aligned
-//     2^shift block, which always lands inside a single coarser
-//     aligned block, so rebucketing preserves (2) by re-routing
-//     events through insert() with the recomputed _active_key.
 
 std::uint64_t
 EventQueue::schedule(Tick when, Handler fn, Priority prio)
@@ -29,130 +13,70 @@ EventQueue::schedule(Tick when, Handler fn, Priority prio)
     return scheduleImpl(when, EventFn(std::move(fn)), prio);
 }
 
+void
+EventQueue::siftUp(std::size_t hole, Entry x)
+{
+    while (hole > 0 && before(x, _heap[(hole - 1) / 2])) {
+        _heap[hole] = _heap[(hole - 1) / 2];
+        hole = (hole - 1) / 2;
+    }
+    _heap[hole] = x;
+}
+
 std::uint64_t
 EventQueue::scheduleImpl(Tick when, EventFn fn, Priority prio)
 {
     if (when < _now)
         qmh_panic("scheduling event in the past: when=", when,
                   " now=", _now);
+    const auto biased =
+        static_cast<std::uint64_t>(static_cast<int>(prio) + 128);
+    if (biased > 0xff)
+        qmh_panic("event priority out of range: ",
+                  static_cast<int>(prio));
+    const auto seq = _next_seq++;
+    if ((seq >> seq_bits) != 0)
+        qmh_panic("event sequence numbers exhausted");
     if (fn.heapAllocated())
         ++_spilled;
-    // Keep the near window wide enough that the common case — events
-    // within the current scheduling horizon — stays in the bucket
-    // ring rather than churning through the far heap.
-    const Tick delta = when - _now;
-    if ((delta >> _shift) >= bucket_count) {
-        auto s = _shift;
-        while (s < max_shift && (delta >> s) >= bucket_count)
-            ++s;
-        growTo(s);
-    }
     Event *e = allocEvent();
-    e->when = when;
-    e->seq = _next_seq++;
-    e->prio = static_cast<int>(prio);
     e->fn = std::move(fn);
-    insert(e);
-    ++_size;
-    return e->seq;
-}
-
-void
-EventQueue::insert(Event *e)
-{
-    const auto key = e->when >> _shift;
-    if (!_active.empty() && key <= _active_key) {
-        // At or before the dispatching bucket: the active heap is the
-        // only structure guaranteed to be consulted before time
-        // reaches this event.
-        _active.push_back(e);
-        std::push_heap(_active.begin(), _active.end(), Later{});
-    } else if (key - (_now >> _shift) < bucket_count) {
-        _buckets[key & bucket_mask].push_back(e);
-        ++_near_count;
-    } else {
-        _far.push_back(e);
-        std::push_heap(_far.begin(), _far.end(), Later{});
-    }
-}
-
-void
-EventQueue::growTo(std::uint32_t new_shift)
-{
-    _rebucket.clear();
-    for (auto &bucket : _buckets) {
-        _rebucket.insert(_rebucket.end(), bucket.begin(),
-                         bucket.end());
-        bucket.clear();
-    }
-    _near_count = 0;
-    const auto old_shift = _shift;
-    _shift = new_shift;
-    if (!_active.empty())
-        _active_key >>= (new_shift - old_shift);
-    for (auto *e : _rebucket)
-        insert(e);
-}
-
-bool
-EventQueue::refillSlow()
-{
-    if (_size == 0)
-        return false;
-    for (;;) {
-        // Slide the window up to the present and pull far events that
-        // now fit the near horizon into their buckets.
-        const auto base = _now >> _shift;
-        while (!_far.empty() &&
-               (_far.front()->when >> _shift) - base < bucket_count) {
-            std::pop_heap(_far.begin(), _far.end(), Later{});
-            Event *e = _far.back();
-            _far.pop_back();
-            _buckets[(e->when >> _shift) & bucket_mask].push_back(e);
-            ++_near_count;
-        }
-        if (_near_count > 0)
-            break;
-        // Only far events remain and all sit beyond the horizon:
-        // coarsen the buckets until the earliest one fits. At
-        // max_shift any 64-bit tick fits, so progress is guaranteed.
-        const Tick far_when = _far.front()->when;
-        auto s = _shift;
-        while (s < max_shift &&
-               (far_when >> s) - (_now >> s) >= bucket_count)
-            ++s;
-        if (s == _shift)
-            qmh_panic("event queue window failed to advance");
-        growTo(s);
-    }
-    auto key = _now >> _shift;
-    while (_buckets[key & bucket_mask].empty())
-        ++key;
-    auto &bucket = _buckets[key & bucket_mask];
-    _near_count -= bucket.size();
-    _active.swap(bucket);
-    std::make_heap(_active.begin(), _active.end(), Later{});
-    _active_key = key;
-    return true;
+    // New events usually dispatch after most pending ones, so the
+    // sift stops after a compare or two.
+    _heap.push_back({});
+    siftUp(_heap.size() - 1, {when, biased << seq_bits | seq, e});
+    return seq;
 }
 
 void
 EventQueue::dispatchTop()
 {
-    std::pop_heap(_active.begin(), _active.end(), Later{});
-    Event *e = _active.back();
-    _active.pop_back();
-    _now = e->when;
+    const Entry top = _heap.front();
+    const Entry last = _heap.back();
+    _heap.pop_back();
+    const auto n = _heap.size();
+    if (n > 0) {
+        // Floyd's pop: walk the hole down to a leaf along the earlier
+        // child (a branch-free pick), then sift the old last entry up.
+        std::size_t hole = 0;
+        for (auto c = std::size_t{1}; c < n; c = 2 * hole + 1) {
+            if (c + 1 < n)
+                c += before(_heap[c + 1], _heap[c]);
+            _heap[hole] = _heap[c];
+            hole = c;
+        }
+        siftUp(hole, last);
+    }
+    _now = top.when;
     ++_executed;
-    --_size;
-    e->fn();
-    recycle(e);
+    top.event->fn();
+    recycle(top.event);
 }
 
 bool
 EventQueue::step()
 {
-    if (!refill())
+    if (_heap.empty())
         return false;
     dispatchTop();
     return true;
@@ -161,10 +85,7 @@ EventQueue::step()
 Tick
 EventQueue::run(Tick limit)
 {
-    // One refill per dispatch: the loop condition already established
-    // a non-empty active heap, so dispatch directly instead of going
-    // through step()'s second refill check.
-    while (refill() && _active.front()->when <= limit)
+    while (!_heap.empty() && _heap.front().when <= limit)
         dispatchTop();
     if (_now < limit && limit != max_tick)
         _now = limit;

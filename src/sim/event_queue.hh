@@ -7,8 +7,7 @@
  * singleton queue — every simulation owns its own EventQueue so tests
  * and benches can run many independent simulations in one process.
  *
- * Internally this is a two-tier calendar queue built for raw event
- * throughput rather than the textbook binary heap:
+ * Internally the queue is one implicit binary min-heap:
  *
  *  - Event records live in a per-queue arena (blocks of frames strung
  *    on a free list), so steady-state scheduling performs no heap
@@ -17,23 +16,22 @@
  *    spill to the heap and are counted (spilledHandlers()) so tests
  *    can pin the hot path to zero spills.
  *
- *  - Pending events within a near horizon of `bucket_count` tick-wide
- *    buckets (width 2^shift ticks, shift grows adaptively and never
- *    shrinks) are filed by tick bucket; only the single *active*
- *    bucket — the one currently dispatching — is kept heap-ordered by
- *    (tick, priority, seq). Events past the horizon wait in a small
- *    far heap and are drained into buckets as the window slides.
+ *  - Each heap entry carries its dispatch key inline — the tick and
+ *    one word packing the priority above the insertion sequence
+ *    number — next to a pointer to its arena frame, so sifting
+ *    compares keys without touching the frames. Simulations keep few
+ *    events pending (tens in a trace run), so the log-depth heap stays
+ *    a few cache lines deep.
  *
  * Dispatch order is governed solely by the strict total order
- * (tick, priority, seq), so the calendar layout is unobservable:
- * ordering semantics are byte-identical to the previous
- * priority-queue kernel.
+ * (tick, priority, seq). Packing bounds the inputs: priorities must
+ * lie in [-128, 127] and one queue accepts at most 2^56 schedule()
+ * calls over its lifetime; both are checked, and a violation panics.
  */
 
 #ifndef QMH_SIM_EVENT_QUEUE_HH
 #define QMH_SIM_EVENT_QUEUE_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -103,10 +101,10 @@ class EventQueue
     }
 
     /** True when no events remain. */
-    bool empty() const { return _size == 0; }
+    bool empty() const { return _heap.empty(); }
 
     /** Number of pending events. */
-    std::size_t pending() const { return _size; }
+    std::size_t pending() const { return _heap.size(); }
 
     /** Execute the single next event; returns false if none remain. */
     bool step();
@@ -134,66 +132,46 @@ class EventQueue
     std::uint64_t spilledHandlers() const { return _spilled; }
 
   private:
-    /// Near-horizon bucket ring size; power of two.
-    static constexpr std::uint64_t bucket_count = 256;
-    static constexpr std::uint64_t bucket_mask = bucket_count - 1;
-    /// Cap so that any 64-bit tick delta spans < bucket_count keys.
-    static constexpr std::uint32_t max_shift = 56;
     /// Event frames per arena block.
     static constexpr std::size_t block_events = 128;
+    /// Low bits of the packed order word holding the sequence number;
+    /// the biased priority fills the top byte.
+    static constexpr unsigned seq_bits = 56;
 
+    /// An arena frame: the handler, and the free-list link when idle.
     struct Event {
-        Tick when = 0;
-        std::uint64_t seq = 0;
-        int prio = 0;
         EventFn fn;
         Event *next_free = nullptr;
     };
 
-    /// "a dispatches after b" under the (tick, priority, seq) order.
-    struct Later {
-        bool
-        operator()(const Event *a, const Event *b) const
-        {
-            if (a->when != b->when)
-                return a->when > b->when;
-            if (a->prio != b->prio)
-                return a->prio > b->prio;
-            return a->seq > b->seq;
-        }
+    /// A pending event: its dispatch key inline, its frame by pointer.
+    struct Entry {
+        Tick when;
+        std::uint64_t order;  ///< (priority + 128) << seq_bits | seq
+        Event *event;
     };
 
-    std::uint64_t scheduleImpl(Tick when, EventFn fn, Priority prio);
-    void insert(Event *e);
-
-    /**
-     * Ensure the active heap holds the next bucket to dispatch.
-     * Inline fast path — while the active heap is non-empty nothing
-     * needs refilling; the slide/coarsen machinery lives out of line.
-     */
-    bool
-    refill()
+    /// "a dispatches before b" under the (tick, priority, seq) order;
+    /// bitwise, not short-circuit, so the compare stays branch-free.
+    static bool
+    before(const Entry &a, const Entry &b)
     {
-        return !_active.empty() || refillSlow();
+        return (a.when < b.when) |
+               ((a.when == b.when) & (a.order < b.order));
     }
-    bool refillSlow();
+
+    std::uint64_t scheduleImpl(Tick when, EventFn fn, Priority prio);
+    /// Move @p x into the heap at or above the vacant slot @p hole.
+    void siftUp(std::size_t hole, Entry x);
     void dispatchTop();
-    void growTo(std::uint32_t new_shift);
     Event *allocEvent();
     void recycle(Event *e);
 
     Tick _now = 0;
     std::uint64_t _next_seq = 0;
     std::uint64_t _executed = 0;
-    std::size_t _size = 0;
 
-    std::uint32_t _shift = 0;
-    std::uint64_t _active_key = 0;
-    std::vector<Event *> _active;   ///< dispatching bucket, min-heap
-    std::array<std::vector<Event *>, bucket_count> _buckets;
-    std::size_t _near_count = 0;
-    std::vector<Event *> _far;      ///< beyond-horizon min-heap
-    std::vector<Event *> _rebucket; ///< scratch for shift growth
+    std::vector<Entry> _heap;  ///< pending events, min-heap by key
 
     std::vector<std::unique_ptr<Event[]>> _blocks;
     Event *_free = nullptr;

@@ -9,7 +9,6 @@
 
 #include "common/random.hh"
 #include "sim/event_queue.hh"
-#include "sim/resource.hh"
 
 namespace qmh {
 namespace sim {
@@ -191,19 +190,27 @@ TEST(EventQueue, DynamicCurrentTickEventsKeepPriorityThenFifo)
 TEST(EventQueue, MatchesReferenceOrderUnderMixedHorizonStress)
 {
     // Contract stress: several hundred events over wildly mixed
-    // horizons (same-tick, near, and millions of ticks out) must
-    // dispatch in exactly (tick, priority, insertion-order) — the
-    // order of a stable sort over the schedule log. Handlers also
-    // schedule follow-on events mid-run, covering insertions into
-    // already-active regions of the timeline.
+    // horizons (same-tick, near, millions of ticks out, and 64-bit
+    // deltas up to 2^62 that saturate at max_tick - 1) must dispatch
+    // in exactly (tick, priority, insertion-order) — the order of a
+    // stable sort over the schedule log. Handlers also schedule
+    // follow-on events mid-run, covering insertions into already
+    // active regions of the timeline, and dispatch is driven in
+    // segments of interleaved run(limit) and step() calls.
     EventQueue eq;
     Random rng(2026);
-    const Tick deltas[] = {0,     1,      2,       7,       63,
-                           1024,  4097,   65536,   1000000, 33554432,
-                           12345, 999983, 5000000, 250000001};
+    const Tick deltas[] = {0,         1,        2,          7,
+                           63,        1024,     4097,       65536,
+                           1000000,   33554432, 12345,      999983,
+                           5000000,   250000001, Tick(1) << 40,
+                           Tick(1) << 62};
     const Priority prios[] = {Priority::Stat, Priority::Default,
                               Priority::Default, Priority::Default,
                               Priority::Late};
+    // now() + delta, saturated at the last schedulable tick.
+    const auto after = [&eq](Tick delta) {
+        return eq.now() + std::min(delta, max_tick - 1 - eq.now());
+    };
 
     // (when, prio, seq) -> id, appended in schedule order.
     std::vector<std::tuple<Tick, int, std::uint64_t, int>> log;
@@ -214,29 +221,38 @@ TEST(EventQueue, MatchesReferenceOrderUnderMixedHorizonStress)
     // work that already ran this tick, so a zero-delay spawn is
     // clamped to its parent's priority; every other (delta, priority)
     // combination is fair game for the sort-order comparison.
-    std::function<void(int, Priority)> plant = [&](int depth,
-                                                   Priority parent) {
-        const auto delta =
-            deltas[rng.uniformInt(std::size(deltas))];
-        auto prio = prios[rng.uniformInt(std::size(prios))];
-        if (delta == 0 && prio < parent)
-            prio = parent;
-        const auto id = next_id++;
-        const Tick when = eq.now() + delta;
-        const auto spawn = depth > 0 && rng.bernoulli(0.25);
-        const auto seq = eq.schedule(
-            when,
-            [&order, &plant, id, spawn, depth, prio] {
-                order.push_back(id);
-                if (spawn)
-                    plant(depth - 1, prio);
-            },
-            prio);
-        log.emplace_back(when, static_cast<int>(prio), seq, id);
-    };
+    std::function<void(int, Priority, Tick)> plant =
+        [&](int depth, Priority parent, Tick when) {
+            auto prio = prios[rng.uniformInt(std::size(prios))];
+            if (when == eq.now() && prio < parent)
+                prio = parent;
+            const auto id = next_id++;
+            const auto spawn = depth > 0 && rng.bernoulli(0.25);
+            const auto seq = eq.schedule(
+                when,
+                [&, id, spawn, depth, prio] {
+                    order.push_back(id);
+                    if (spawn)
+                        plant(depth - 1, prio,
+                              after(deltas[rng.uniformInt(
+                                  std::size(deltas))]));
+                },
+                prio);
+            log.emplace_back(when, static_cast<int>(prio), seq, id);
+        };
+    plant(3, Priority::Stat, max_tick - 1);
     for (int i = 0; i < 400; ++i)
-        plant(3, Priority::Stat);
-    eq.run();
+        plant(3, Priority::Stat,
+              after(deltas[rng.uniformInt(std::size(deltas))]));
+    while (!eq.empty()) {
+        if (rng.bernoulli(0.5)) {
+            auto steps = 1 + rng.uniformInt(8);
+            while (steps-- > 0 && eq.step()) {
+            }
+        } else {
+            eq.run(after(deltas[rng.uniformInt(std::size(deltas))]));
+        }
+    }
 
     std::stable_sort(log.begin(), log.end());
     std::vector<int> expected;
@@ -246,7 +262,7 @@ TEST(EventQueue, MatchesReferenceOrderUnderMixedHorizonStress)
     ASSERT_EQ(order.size(), log.size());
     EXPECT_EQ(order, expected);
     EXPECT_EQ(eq.executed(), log.size());
-    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(std::get<0>(log.back()), max_tick - 1);
 }
 
 TEST(EventQueue, SteadyStateDispatchReusesArenaFrames)
@@ -321,45 +337,12 @@ TEST(EventQueueDeath, EmptyHandlerPanics)
     EXPECT_DEATH(eq.schedule(1, EventQueue::Handler{}), "empty handler");
 }
 
-TEST(Resource, GrantsUpToCapacity)
+TEST(EventQueueDeath, OutOfRangePriorityPanics)
 {
+    // The heap key packs the priority into one byte.
     EventQueue eq;
-    Resource res(eq, "r", 2);
-    int granted = 0;
-    res.acquire([&] { ++granted; });
-    res.acquire([&] { ++granted; });
-    res.acquire([&] { ++granted; });  // must wait
-    eq.run();
-    EXPECT_EQ(granted, 2);
-    EXPECT_EQ(res.inUse(), 2u);
-    EXPECT_EQ(res.waiting(), 1u);
-    res.release();
-    eq.run();
-    EXPECT_EQ(granted, 3);
-}
-
-TEST(Resource, FifoOrderAmongWaiters)
-{
-    EventQueue eq;
-    Resource res(eq, "r", 1);
-    std::vector<int> order;
-    res.acquire([&] { order.push_back(0); });
-    res.acquire([&] { order.push_back(1); });
-    res.acquire([&] { order.push_back(2); });
-    eq.run();
-    res.release();
-    eq.run();
-    res.release();
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-    EXPECT_EQ(res.grants(), 3u);
-}
-
-TEST(ResourceDeath, ReleaseWithoutAcquirePanics)
-{
-    EventQueue eq;
-    Resource res(eq, "r", 1);
-    EXPECT_DEATH(res.release(), "release without acquire");
+    EXPECT_DEATH(eq.schedule(1, [] {}, static_cast<Priority>(200)),
+                 "priority out of range");
 }
 
 } // namespace
