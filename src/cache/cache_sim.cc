@@ -107,14 +107,6 @@ CacheState::CacheState(std::size_t capacity,
 {
 }
 
-std::vector<circuit::QubitId>
-CacheState::missingOperands(const circuit::Instruction &inst) const
-{
-    std::vector<circuit::QubitId> missing;
-    missingOperandsInto(inst, missing);
-    return missing;
-}
-
 void
 CacheState::missingOperandsInto(
     const circuit::Instruction &inst,
@@ -124,14 +116,6 @@ CacheState::missingOperandsInto(
     for (const auto &q : inst.operands())
         if (isCacheable(q) && !_cache.contains(q))
             out.push_back(q);
-}
-
-std::vector<circuit::QubitId>
-CacheState::access(const circuit::Instruction &inst)
-{
-    std::vector<circuit::QubitId> evicted;
-    accessInto(inst, evicted);
-    return evicted;
 }
 
 void
@@ -160,27 +144,31 @@ CacheState::resetCounters()
 
 namespace {
 
-/** Issue one instruction through the state, recording the order. */
+/** Issue one instruction through the state, recording the order.
+ * @p evicted is reused scratch: the drivers model no writebacks. */
 void
 issue(const circuit::Instruction &inst, CacheState &state,
-      CacheSimResult &result, std::uint32_t index)
+      CacheSimResult &result, std::uint32_t index,
+      std::vector<circuit::QubitId> &evicted)
 {
-    state.access(inst);
+    state.accessInto(inst, evicted);
     result.issue_order.push_back(index);
 }
 
 void
 runInOrder(const circuit::Program &program, CacheState &state,
-           CacheSimResult &result)
+           CacheSimResult &result,
+           std::vector<circuit::QubitId> &evicted)
 {
     const auto &insts = program.instructions();
     for (std::uint32_t i = 0; i < insts.size(); ++i)
-        issue(insts[i], state, result, i);
+        issue(insts[i], state, result, i, evicted);
 }
 
 void
 runOptimized(const circuit::Program &program, CacheState &state,
-             CacheSimResult &result)
+             CacheSimResult &result,
+             std::vector<circuit::QubitId> &evicted)
 {
     const auto &insts = program.instructions();
     const circuit::DependencyGraph dag(program);
@@ -230,7 +218,7 @@ runOptimized(const circuit::Program &program, CacheState &state,
         const auto idx = ready[best_pos];
         ready[best_pos] = ready.back();
         ready.pop_back();
-        issue(insts[idx], state, result, idx);
+        issue(insts[idx], state, result, idx, evicted);
         ++issued;
         for (const auto s : dag.successors(idx)) {
             if (--remaining[s] == 0)
@@ -255,13 +243,14 @@ simulateCache(const circuit::Program &program, std::size_t capacity,
     result.policy = policy;
     result.capacity = capacity;
 
+    std::vector<circuit::QubitId> evicted;
     for (int pass = warm_start ? 0 : 1; pass < 2; ++pass) {
         state.resetCounters();
         result.issue_order.clear();
         if (policy == FetchPolicy::InOrder)
-            runInOrder(program, state, result);
+            runInOrder(program, state, result, evicted);
         else
-            runOptimized(program, state, result);
+            runOptimized(program, state, result, evicted);
     }
     result.accesses = state.accesses();
     result.hits = state.hits();

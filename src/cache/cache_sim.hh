@@ -104,7 +104,7 @@ class QubitCache
  * cacheability mask and the access counters, decoupled from any
  * instruction-selection loop. Callers decide which instruction issues
  * next (a fetch policy, or the trace engine's list scheduler) and
- * step the state with access().
+ * step the state with accessInto().
  */
 class CacheState
 {
@@ -133,15 +133,10 @@ class CacheState
 
     /**
      * Cacheable operands of @p inst not currently resident — the
-     * transfers an issue of @p inst would trigger. Non-mutating.
-     */
-    std::vector<circuit::QubitId>
-    missingOperands(const circuit::Instruction &inst) const;
-
-    /**
-     * missingOperands() into a caller-owned scratch vector (cleared
-     * first), so per-gate issue loops reuse capacity instead of
-     * allocating a fresh vector per instruction.
+     * transfers an issue of @p inst would trigger — into a
+     * caller-owned scratch vector (cleared first), so per-gate issue
+     * loops reuse capacity instead of allocating per instruction.
+     * Non-mutating.
      */
     void missingOperandsInto(const circuit::Instruction &inst,
                              std::vector<circuit::QubitId> &out) const;
@@ -149,14 +144,12 @@ class CacheState
     /**
      * Issue @p inst against the cache: touch every cacheable operand,
      * counting hits and misses; missing operands are brought in
-     * (evicting LRU entries when full). Returns the qubits evicted by
+     * (evicting LRU entries when full). @p evicted (a caller-owned
+     * scratch vector, cleared first) receives the qubits evicted by
      * this access, in eviction order — the writeback traffic the
      * issue generated. Callers that do not model writebacks may
-     * ignore the return value.
+     * ignore it.
      */
-    std::vector<circuit::QubitId> access(const circuit::Instruction &inst);
-
-    /** access() into a caller-owned scratch vector (cleared first). */
     void accessInto(const circuit::Instruction &inst,
                     std::vector<circuit::QubitId> &evicted);
 

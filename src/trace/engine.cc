@@ -93,7 +93,7 @@ struct EngineCtx
         const auto &inst = program[claimed.index];
         // Residency first: the missing set is what this issue pulls
         // through the memory banks and the transfer network.
-        // access() then counts hits/misses and brings the missing
+        // accessInto() then counts hits/misses and brings the missing
         // qubits in, so a later gate touching an in-flight qubit hits
         // (the fetch is already on the wire — MSHR-style merging).
         cache.missingOperandsInto(inst, missing);

@@ -326,8 +326,9 @@ TEST(CacheState, SteppingInProgramOrderMatchesInOrderDriver)
     const auto prog = gen::draperAdder(16);
     const std::size_t capacity = 12;
     CacheState state(capacity, {});
+    std::vector<QubitId> evicted;
     for (const auto &inst : prog.instructions())
-        state.access(inst);
+        state.accessInto(inst, evicted);
     const auto driver =
         simulateCache(prog, capacity, FetchPolicy::InOrder);
     EXPECT_EQ(state.accesses(), driver.accesses);
@@ -342,16 +343,23 @@ TEST(CacheState, MissingOperandsPredictsAccessOutcome)
     p.toffoli(QubitId(0), QubitId(1), QubitId(2));
     CacheState state(2, {});
     const auto &inst = p.instructions().front();
-    // Cold: every operand missing; missingOperands does not mutate.
-    EXPECT_EQ(state.missingOperands(inst).size(), 3u);
-    EXPECT_EQ(state.missingOperands(inst).size(), 3u);
-    state.access(inst);
+    // Cold: every operand missing; missingOperandsInto does not
+    // mutate, and clears stale scratch before filling it.
+    std::vector<QubitId> missing = {QubitId(2)};
+    state.missingOperandsInto(inst, missing);
+    EXPECT_EQ(missing.size(), 3u);
+    state.missingOperandsInto(inst, missing);
+    EXPECT_EQ(missing.size(), 3u);
+    std::vector<QubitId> evicted;
+    state.accessInto(inst, evicted);
     EXPECT_EQ(state.misses(), 3u);
     // Capacity 2: qubit 0 was evicted while 1 and 2 are resident.
+    EXPECT_EQ(evicted, std::vector<QubitId>{QubitId(0)});
     EXPECT_FALSE(state.resident(QubitId(0)));
     EXPECT_TRUE(state.resident(QubitId(1)));
     EXPECT_TRUE(state.resident(QubitId(2)));
-    EXPECT_EQ(state.missingOperands(inst).size(), 1u);
+    state.missingOperandsInto(inst, missing);
+    EXPECT_EQ(missing, std::vector<QubitId>{QubitId(0)});
 }
 
 TEST(CacheState, MaskedQubitsNeverMissOrOccupy)
@@ -361,9 +369,11 @@ TEST(CacheState, MaskedQubitsNeverMissOrOccupy)
     std::vector<bool> mask = {true, false};
     CacheState state(1, mask);
     EXPECT_FALSE(state.isCacheable(QubitId(1)));
-    EXPECT_EQ(state.missingOperands(p.instructions().front()).size(),
-              1u);
-    state.access(p.instructions().front());
+    std::vector<QubitId> scratch;
+    state.missingOperandsInto(p.instructions().front(), scratch);
+    EXPECT_EQ(scratch, std::vector<QubitId>{QubitId(0)});
+    state.accessInto(p.instructions().front(), scratch);
+    EXPECT_TRUE(scratch.empty());  // nothing to evict yet
     EXPECT_EQ(state.accesses(), 1u);  // only the cacheable operand
     EXPECT_TRUE(state.resident(QubitId(0)));
     EXPECT_FALSE(state.resident(QubitId(1)));
@@ -374,11 +384,12 @@ TEST(CacheState, ResetCountersKeepsResidency)
     Program p("r", 1);
     p.x(QubitId(0));
     CacheState state(1, {});
-    state.access(p.instructions().front());
+    std::vector<QubitId> evicted;
+    state.accessInto(p.instructions().front(), evicted);
     EXPECT_EQ(state.misses(), 1u);
     state.resetCounters();
     EXPECT_EQ(state.accesses(), 0u);
-    state.access(p.instructions().front());
+    state.accessInto(p.instructions().front(), evicted);
     EXPECT_EQ(state.hits(), 1u);  // still resident: warm start
 }
 

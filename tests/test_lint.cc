@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -295,10 +294,8 @@ constexpr const char *kFixtureLayerPolicy =
 
 TEST(LintLayering, UpwardIncludeAndFacadeBypassAreFindings)
 {
-    TreeOptions options;
-    options.layer_policy = kFixtureLayerPolicy;
     const auto report =
-        lintTree({fixturePath("layer_tree")}, options);
+        lintTree({fixturePath("layer_tree")}, kFixtureLayerPolicy);
 
     // Exactly two findings: upward.hh's upward edge and the
     // forbidden top -> low skip. mid -> low (downward) and the
@@ -321,10 +318,8 @@ TEST(LintLayering, UpwardIncludeAndFacadeBypassAreFindings)
 
 TEST(LintLayering, PeerIncludeCycleIsOneFinding)
 {
-    TreeOptions options;
-    options.layer_policy = "layer alpha beta\n";
     const auto report =
-        lintTree({fixturePath("cycle_tree")}, options);
+        lintTree({fixturePath("cycle_tree")}, "layer alpha beta\n");
     ASSERT_EQ(report.diagnostics.size(), 1u);
     const auto &cycle = report.diagnostics[0];
     EXPECT_EQ(cycle.rule, "layering");
@@ -336,13 +331,11 @@ TEST(LintLayering, PeerIncludeCycleIsOneFinding)
 
 TEST(LintLayering, PolicyParseProblemsAreFindings)
 {
-    TreeOptions options;
-    options.layer_policy =
-        "layers low\n"          // unknown directive
-        "layer low low\n"       // duplicate module
-        "forbid ghost: low\n";  // undeclared module
     const auto report =
-        lintTree({fixturePath("layer_tree")}, options);
+        lintTree({fixturePath("layer_tree")},
+                 "layers low\n"            // unknown directive
+                 "layer low low\n"         // duplicate module
+                 "forbid ghost: low\n");  // undeclared module
     const Findings expect = {
         {1, "layering"}, {2, "layering"}, {3, "layering"}};
     EXPECT_EQ(findings(report), expect);
@@ -379,93 +372,10 @@ TEST(LintUncheckedOutcome, DiscardFlaggedAmbiguousAndBoundSkipped)
     EXPECT_NE(discard.message.find("fetchThing"), std::string::npos);
 }
 
-namespace {
-
-std::string
-renderReport(const Report &report)
-{
-    std::string out;
-    for (const auto &diagnostic : report.diagnostics) {
-        out += diagnostic.format();
-        out += "\n";
-    }
-    return out;
-}
-
-std::vector<std::string>
-realTreeRoots()
-{
-    return {QMH_LINT_SOURCE_DIR "/src", QMH_LINT_SOURCE_DIR "/bench",
-            QMH_LINT_SOURCE_DIR "/examples",
-            QMH_LINT_SOURCE_DIR "/tests"};
-}
-
-} // namespace
-
-TEST(LintTreeEngine, ReportIsByteIdenticalAcrossThreadCounts)
-{
-    // The sweep determinism contract applied to the linter itself:
-    // 1 worker and 8 workers must produce identical reports, down to
-    // the SARIF bytes.
-    TreeOptions one;
-    one.threads = 1;
-    TreeOptions eight;
-    eight.threads = 8;
-    const auto serial = lintTree(realTreeRoots(), one);
-    const auto parallel = lintTree(realTreeRoots(), eight);
-    EXPECT_EQ(serial.files_scanned, parallel.files_scanned);
-    EXPECT_EQ(renderReport(serial), renderReport(parallel));
-    EXPECT_EQ(toSarif(serial), toSarif(parallel));
-}
-
-TEST(LintTreeEngine, WarmCacheParsesZeroFilesAndMatchesCold)
-{
-    const std::string cache_path =
-        ::testing::TempDir() + "qmh_lint_facts_cache.jsonl";
-    std::remove(cache_path.c_str());
-
-    TreeOptions options;
-    options.cache_path = cache_path;
-    const auto cold = lintTree(realTreeRoots(), options);
-    EXPECT_EQ(cold.files_cached, 0u);
-    EXPECT_EQ(cold.files_parsed, cold.files_scanned);
-
-    // Second run over the unchanged tree: every file served from the
-    // facts cache, zero parsed, identical report.
-    const auto warm = lintTree(realTreeRoots(), options);
-    EXPECT_EQ(warm.files_parsed, 0u);
-    EXPECT_EQ(warm.files_cached, warm.files_scanned);
-    EXPECT_EQ(warm.files_scanned, cold.files_scanned);
-    EXPECT_EQ(renderReport(cold), renderReport(warm));
-    std::remove(cache_path.c_str());
-}
-
-TEST(LintTreeEngine, CorruptCacheIsIgnoredNotTrusted)
-{
-    const std::string cache_path =
-        ::testing::TempDir() + "qmh_lint_corrupt_cache.jsonl";
-    {
-        std::ofstream out(cache_path, std::ios::trunc);
-        out << "{\"format\":\"qmh-lint-facts-v1\"}\n"
-            << "this is not json\n"
-            << "{\"path\":\"x\"}\n";
-    }
-    TreeOptions options;
-    options.cache_path = cache_path;
-    const auto report =
-        lintTree({fixturePath("cycle_tree")}, options);
-    // Unusable entries are cache misses, not failures.
-    EXPECT_EQ(report.files_cached, 0u);
-    EXPECT_EQ(report.files_parsed, report.files_scanned);
-    std::remove(cache_path.c_str());
-}
-
 TEST(LintSarif, CarriesRuleMetadataAndFindings)
 {
-    TreeOptions options;
-    options.layer_policy = kFixtureLayerPolicy;
     const auto report =
-        lintTree({fixturePath("layer_tree")}, options);
+        lintTree({fixturePath("layer_tree")}, kFixtureLayerPolicy);
     const auto sarif = toSarif(report);
     EXPECT_NE(sarif.find("\"version\":\"2.1.0\""),
               std::string::npos);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -1220,17 +1219,6 @@ ruleDescription(std::string_view rule)
 
 namespace detail {
 
-std::uint64_t
-contentHash(std::string_view text)
-{
-    std::uint64_t hash = 0xCBF29CE484222325ULL;
-    for (const char c : text) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001B3ULL;
-    }
-    return hash;
-}
-
 void
 sortUniqueDiagnostics(std::vector<Diagnostic> &diagnostics)
 {
@@ -1256,12 +1244,10 @@ sortUniqueDiagnostics(std::vector<Diagnostic> &diagnostics)
 
 FileFacts
 analyzeText(std::string_view policy_path, std::string_view text,
-            const std::vector<std::string> &header_names,
-            std::uint64_t header_hash)
+            const std::vector<std::string> &header_names)
 {
     FileFacts facts;
     facts.path = std::string(policy_path);
-    facts.hash = contentHash(text) * 0x100000001B3ULL ^ header_hash;
 
     const std::string file(policy_path);
     const Policy policy = policyFor(policy_path);
@@ -1326,66 +1312,22 @@ analyzeText(std::string_view policy_path, std::string_view text,
     return facts;
 }
 
-FileInput
-readFileInput(const std::string &path)
-{
-    FileInput input;
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return input;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    input.text = buffer.str();
-    input.ok = true;
-
-    // An implementation file iterates members its header declares;
-    // per-file analysis would never see `std::unordered_map ... _m;`
-    // from foo.hh while checking foo.cc's range-fors, and the facts
-    // cache must invalidate when the header changes. Read the
-    // companion (same stem, .hh/.h) alongside.
-    const auto ext = std::filesystem::path(path).extension().string();
-    if (ext == ".cc" || ext == ".cpp") {
-        for (const char *header_ext : {".hh", ".h"}) {
-            auto companion = std::filesystem::path(path);
-            companion.replace_extension(header_ext);
-            std::ifstream header(companion, std::ios::binary);
-            if (!header)
-                continue;
-            std::ostringstream header_buffer;
-            header_buffer << header.rdbuf();
-            input.header_text = header_buffer.str();
-            break;
-        }
-    }
-    return input;
-}
-
-std::uint64_t
-inputHash(const FileInput &input)
-{
-    return contentHash(input.text) * 0x100000001B3ULL ^
-           contentHash(input.header_text);
-}
-
-FileFacts
-analyzeInput(const std::string &path, const FileInput &input)
-{
-    std::vector<std::string> header_names;
-    if (!input.header_text.empty()) {
-        // Keep the scrub result alive while tokens (string_views
-        // into its code buffer) are read.
-        const auto header_scrubbed = scrub(input.header_text);
-        header_names = unorderedNames(tokenize(header_scrubbed.code));
-    }
-    return analyzeText(path, input.text, header_names,
-                       contentHash(input.header_text));
-}
-
 FileFacts
 analyzeFile(const std::string &path)
 {
-    const FileInput input = readFileInput(path);
-    if (!input.ok) {
+    auto readWhole = [](const std::filesystem::path &file,
+                        std::string &out) {
+        std::ifstream in(file, std::ios::binary);
+        if (!in)
+            return false;
+        std::ostringstream buffer;
+        buffer << in.rdbuf();
+        out = buffer.str();
+        return true;
+    };
+
+    std::string text;
+    if (!readWhole(path, text)) {
         FileFacts facts;
         facts.path = path;
         facts.io_error = true;
@@ -1393,7 +1335,29 @@ analyzeFile(const std::string &path)
             {path, 0, "io-error", "cannot read file", ""});
         return facts;
     }
-    return analyzeInput(path, input);
+
+    // An implementation file iterates members its header declares;
+    // per-file analysis would never see `std::unordered_map ... _m;`
+    // from foo.hh while checking foo.cc's range-fors. Read the
+    // companion (same stem, .hh/.h) alongside.
+    std::vector<std::string> header_names;
+    const auto ext = std::filesystem::path(path).extension().string();
+    if (ext == ".cc" || ext == ".cpp") {
+        for (const char *header_ext : {".hh", ".h"}) {
+            auto companion = std::filesystem::path(path);
+            companion.replace_extension(header_ext);
+            std::string header_text;
+            if (!readWhole(companion, header_text))
+                continue;
+            // Keep the scrub result alive while tokens (string_views
+            // into its code buffer) are read.
+            const auto header_scrubbed = scrub(header_text);
+            header_names =
+                unorderedNames(tokenize(header_scrubbed.code));
+            break;
+        }
+    }
+    return analyzeText(path, text, header_names);
 }
 
 } // namespace detail
@@ -1401,12 +1365,9 @@ analyzeFile(const std::string &path)
 Report
 lintText(std::string_view policy_path, std::string_view text)
 {
-    const auto facts =
-        detail::analyzeText(policy_path, text, {},
-                            detail::contentHash(std::string_view()));
+    const auto facts = detail::analyzeText(policy_path, text, {});
     Report report;
     report.files_scanned = 1;
-    report.files_parsed = 1;
     report.diagnostics = facts.local_diags;
     return report;
 }
@@ -1416,10 +1377,8 @@ lintFile(const std::string &path)
 {
     auto facts = detail::analyzeFile(path);
     Report report;
-    if (!facts.io_error) {
+    if (!facts.io_error)
         report.files_scanned = 1;
-        report.files_parsed = 1;
-    }
     report.diagnostics = std::move(facts.local_diags);
     return report;
 }

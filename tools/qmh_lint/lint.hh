@@ -42,13 +42,11 @@
  *                       returning Outcome<...> is never discarded as
  *                       a bare expression-statement.
  *
- * The tree engine gets production treatment: files are linted in
- * parallel on the sweep::ThreadPool with diagnostics merged in
- * sorted-path order (bit-identical output at 1 or N threads — the
- * same contract as sweeps), per-file facts are memoized in a
- * content-hash JSONL cache (a warm re-lint of an unchanged tree
- * parses zero files), and reports can be emitted as SARIF 2.1.0 for
- * CI code-scanning annotations.
+ * The tree engine is one single-threaded pass over the files in
+ * sorted path order (the whole repository lints in well under a
+ * tenth of a second, so neither a thread pool nor a facts cache would
+ * pay for itself), and reports can be emitted as SARIF 2.1.0 for CI
+ * code-scanning annotations.
  *
  * Every rule is heuristic, so each supports inline suppression:
  *
@@ -88,9 +86,7 @@ struct Diagnostic
 struct Report
 {
     std::vector<Diagnostic> diagnostics;
-    std::size_t files_scanned = 0;  ///< files visited this run
-    std::size_t files_parsed = 0;   ///< tokenized + analyzed fresh
-    std::size_t files_cached = 0;   ///< facts served from the cache
+    std::size_t files_scanned = 0;  ///< files read and analyzed
 
     bool clean() const { return diagnostics.empty(); }
 };
@@ -121,21 +117,6 @@ Report lintText(std::string_view policy_path, std::string_view text);
  */
 Report lintFile(const std::string &path);
 
-/** Options for whole-tree analysis. */
-struct TreeOptions
-{
-    /** Worker threads; 0 = one per hardware thread. The report is
-     * bit-identical at any thread count. */
-    unsigned threads = 0;
-    /** JSONL facts-cache path; empty = no incremental cache. The
-     * cache is keyed on (path, content hash incl. companion header)
-     * and rewritten wholesale after every run. */
-    std::string cache_path;
-    /** Layer policy text (see defaultLayerPolicy() for the format);
-     * empty = the built-in policy over the src/ modules. */
-    std::string layer_policy;
-};
-
 /**
  * The built-in layer policy. Format, line by line ('#' comments):
  *
@@ -156,14 +137,13 @@ const char *defaultLayerPolicy();
  * include graph, unchecked-outcome over the Outcome function index).
  * Directories named "lint_fixtures" are skipped: fixtures contain
  * intentional violations and are linted explicitly by the self-tests.
- * Files are processed in parallel but merged in sorted path order, so
- * the report is deterministic and thread-count independent.
+ * Files are analyzed one by one in sorted path order, so the report
+ * is deterministic. @p layer_policy is the policy text (format at
+ * defaultLayerPolicy()); empty = the built-in policy over the src/
+ * modules.
  */
 Report lintTree(const std::vector<std::string> &roots,
-                const TreeOptions &options);
-
-/** lintTree with default options (all hardware threads, no cache). */
-Report lintTree(const std::vector<std::string> &roots);
+                std::string_view layer_policy = "");
 
 /**
  * The report as a SARIF 2.1.0 document (one run, one result per
