@@ -55,7 +55,8 @@ checkMemoryKnobs(std::vector<std::string> &errors,
  * capacity == 0 resolves to capacity_x times the workload's PE qubit
  * count. Truncate, don't round: the paper-figure capacities (e.g.
  * 1.5 x PE on the fig-7 PE counts) have always been the floor of the
- * product.
+ * product. Both kinds bound capacity_x to (0, 1e6] in validate(),
+ * so the product always fits the integer cast.
  */
 std::uint64_t
 resolveCapacity(const ExperimentSpec &spec, const Workload &workload)
@@ -179,8 +180,9 @@ class CacheExperiment final : public Experiment
                                                   workloadNames()));
         checkRange(errors, _spec.n >= 2 && _spec.n <= 4096,
                    "cache: n must be in [2, 4096]");
-        checkRange(errors, _spec.capacity_x > 0.0,
-                   "cache: capacity_x must be > 0");
+        checkRange(errors,
+                   _spec.capacity_x > 0.0 && _spec.capacity_x <= 1000000,
+                   "cache: capacity_x must be in (0, 1000000]");
         checkRange(errors,
                    _spec.capacity == 0 || _spec.capacity <= 1000000,
                    "cache: capacity must be <= 1000000");
@@ -404,8 +406,9 @@ class TraceExperiment final : public Experiment
         // catch it here so it stays a typed diagnostic.
         checkRange(errors, _spec.transfers >= 1,
                    "trace: transfers must be >= 1");
-        checkRange(errors, _spec.capacity_x > 0.0,
-                   "trace: capacity_x must be > 0");
+        checkRange(errors,
+                   _spec.capacity_x > 0.0 && _spec.capacity_x <= 1000000,
+                   "trace: capacity_x must be in (0, 1000000]");
         checkRange(errors,
                    _spec.capacity == 0 || _spec.capacity <= 1000000,
                    "trace: capacity must be <= 1000000");
@@ -434,13 +437,20 @@ class TraceExperiment final : public Experiment
     std::vector<sweep::Cell> run(Random &rng) const override
     {
         if (const auto *compiled = shared())
-            return row(*compiled);
-        return row(trace::CompiledWorkload(buildWorkload(_spec, rng)));
+            return row(*compiled, true);
+        return row(trace::CompiledWorkload(buildWorkload(_spec, rng)),
+                   false);
     }
 
   private:
+    /**
+     * The row of this point over @p compiled. A @p shared circuit
+     * serves the run from its batch memo, where twin points (same
+     * effective configuration) simulate once; a per-point compile
+     * runs it directly.
+     */
     std::vector<sweep::Cell>
-    row(const trace::CompiledWorkload &compiled) const
+    row(const trace::CompiledWorkload &compiled, bool shared) const
     {
         const auto capacity =
             resolveCapacity(_spec, compiled.workload());
@@ -454,8 +464,10 @@ class TraceExperiment final : public Experiment
         config.mem_buffer =
             static_cast<std::size_t>(_spec.mem_buffer);
         config.cycles_per_line = _spec.cycles_per_line;
+        const auto params = _spec.params();
         const auto result =
-            trace::runTrace(compiled, config, _spec.params());
+            shared ? compiled.traceResult(config, params)
+                   : trace::runTrace(compiled, config, params);
         return {printSpec(_spec),
                 _spec.workload,
                 _spec.n,

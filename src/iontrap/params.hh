@@ -62,6 +62,8 @@ struct Params
      */
     double cycle_us;
 
+    bool operator==(const Params &) const = default;
+
     /** Latency of @p op in microseconds. */
     double opTimeUs(PhysOp op) const;
 

@@ -13,6 +13,7 @@
 #ifndef QMH_SCHED_LATENCY_HH
 #define QMH_SCHED_LATENCY_HH
 
+#include <compare>
 #include <cstdint>
 
 #include "circuit/instruction.hh"
@@ -29,7 +30,7 @@ struct LatencyModel
     std::uint32_t swap = 3;     ///< three CNOTs
     std::uint32_t toffoli = 15; ///< paper: fifteen two-qubit gate steps
 
-    bool operator==(const LatencyModel &) const = default;
+    auto operator<=>(const LatencyModel &) const = default;
 
     /** Latency of an instruction in gate-steps. */
     std::uint32_t

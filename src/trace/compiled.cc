@@ -1,9 +1,11 @@
 #include "compiled.hh"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
 #include "common/logging.hh"
+#include "trace/engine.hh"
 
 namespace qmh {
 namespace trace {
@@ -57,6 +59,52 @@ CompiledWorkload::flatMakespan(unsigned blocks,
             return entry.makespan;
     _flat.push_back({blocks, latency, makespan});
     return makespan;
+}
+
+std::size_t
+CompiledWorkload::footprint() const
+{
+    std::call_once(_footprint_once, [this] {
+        const auto &mask = _workload.cacheable;
+        std::vector<bool> seen(
+            static_cast<std::size_t>(program().qubitCount()));
+        for (const auto &inst : program().instructions())
+            for (const auto &q : inst.operands())
+                if ((mask.empty() || mask[q.value()]) &&
+                    !seen[q.value()]) {
+                    seen[q.value()] = true;
+                    ++_footprint;
+                }
+    });
+    return _footprint;
+}
+
+TraceResult
+CompiledWorkload::traceResult(const TraceConfig &config,
+                              const iontrap::Params &params) const
+{
+    // Capacity 0 keeps its own key, so runTrace still refuses it.
+    auto key = config;
+    key.capacity = std::min(config.capacity,
+                            std::max<std::size_t>(1, footprint()));
+    // The runs kept under @p params; call with _run_mutex held.
+    const auto results = [&]() -> std::map<TraceConfig, TraceResult> & {
+        for (auto &entry : _runs)
+            if (entry.params == params)
+                return entry.results;
+        return _runs.emplace_back(RunEntry{params, {}}).results;
+    };
+    {
+        std::lock_guard<std::mutex> lock(_run_mutex);
+        const auto &kept = results();
+        if (const auto it = kept.find(key); it != kept.end())
+            return it->second;
+    }
+    // Compute outside the lock: a racing duplicate is the same value.
+    const auto result = runTrace(*this, config, params);
+    std::lock_guard<std::mutex> lock(_run_mutex);
+    results().emplace(key, result);
+    return result;
 }
 
 } // namespace trace

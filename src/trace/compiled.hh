@@ -9,19 +9,29 @@
  * runTrace() over it, on any thread. The flat level-2 baseline
  * depends on the circuit plus (block count, latency model) alone, so
  * its makespan is computed on first request and kept on the object.
+ *
+ * Whole runs are kept the same way. A level-1 LRU with at least as
+ * many slots as the circuit's cacheable footprint never evicts, so
+ * every such capacity runs the identical simulation: traceResult()
+ * keys its memo on the capacity clamped to the footprint, and a
+ * sweep over capacities past the working set simulates once.
  */
 
 #ifndef QMH_TRACE_COMPILED_HH
 #define QMH_TRACE_COMPILED_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <vector>
 
 #include "circuit/dag.hh"
 #include "circuit/workload.hh"
+#include "iontrap/params.hh"
 #include "sched/latency.hh"
 #include "sched/scheduler.hh"
+#include "trace/config.hh"
 
 namespace qmh {
 namespace trace {
@@ -57,12 +67,35 @@ class CompiledWorkload
     std::uint64_t flatMakespan(unsigned blocks,
                                const sched::LatencyModel &latency) const;
 
+    /**
+     * Distinct operand qubits inside the cacheable mask: the most the
+     * level-1 cache can ever hold of this program. Computed on first
+     * request and kept; thread-safe.
+     */
+    std::size_t footprint() const;
+
+    /**
+     * runTrace(*this, @p config, @p params), computed on first request
+     * per (config with capacity clamped to footprint(), params) and
+     * kept; thread-safe. Capacities at or above the footprint never
+     * evict, so they share one entry.
+     */
+    TraceResult traceResult(const TraceConfig &config,
+                            const iontrap::Params &params) const;
+
   private:
     struct FlatEntry
     {
         unsigned blocks;
         sched::LatencyModel latency;
         std::uint64_t makespan;
+    };
+
+    /** The kept runs under one parameter set. */
+    struct RunEntry
+    {
+        iontrap::Params params;
+        std::map<TraceConfig, TraceResult> results;
     };
 
     circuit::Workload _workload;
@@ -74,6 +107,14 @@ class CompiledWorkload
     // scanned under the lock is the whole memo.
     mutable std::mutex _flat_mutex;
     mutable std::vector<FlatEntry> _flat;
+
+    mutable std::once_flag _footprint_once;
+    mutable std::size_t _footprint = 0;
+
+    // A batch runs one or two machine presets, so the parameter sets
+    // are scanned; the configurations under each are many.
+    mutable std::mutex _run_mutex;
+    mutable std::vector<RunEntry> _runs;
 };
 
 } // namespace trace

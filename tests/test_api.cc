@@ -222,6 +222,14 @@ TEST(Experiments, ValidateCatchesBadRanges)
     spec.kind = ExperimentKind::Cache;
     spec.workload = "unknown-generator";
     EXPECT_FALSE(makeExperiment(spec)->validate().empty());
+    // capacity_x * PE is cast to an integer capacity: a product past
+    // its range must be a diagnostic, not a silent 1-qubit cache.
+    spec = parseSpec("experiment=cache workload=draper n=16 "
+                     "capacity_x=1e30")
+               .spec;
+    EXPECT_FALSE(makeExperiment(spec)->validate().empty());
+    spec.capacity_x = 1000000;
+    EXPECT_TRUE(makeExperiment(spec)->validate().empty());
 
     spec = ExperimentSpec{};
     spec.kind = ExperimentKind::MonteCarlo;

@@ -192,6 +192,12 @@ TEST(TraceExperimentApi, ValidateCatchesBadRanges)
     EXPECT_FALSE(api::makeExperiment(spec)->validate().empty());
     spec = api::parseSpec("experiment=trace capacity_x=0").spec;
     EXPECT_FALSE(api::makeExperiment(spec)->validate().empty());
+    spec = api::parseSpec("experiment=trace workload=draper n=16 "
+                          "capacity_x=1e30")
+               .spec;
+    EXPECT_FALSE(api::makeExperiment(spec)->validate().empty());
+    spec.capacity_x = 1000000;
+    EXPECT_TRUE(api::makeExperiment(spec)->validate().empty());
     // The parser bounds transfers, but a C++-built spec can hold 0;
     // it must stay a typed diagnostic, not an engine fatal.
     spec = api::parseSpec("experiment=trace").spec;
@@ -666,7 +672,83 @@ TEST(FlatBaseline, CompiledRunMatchesPerRunCompile)
     }
 }
 
-/** A mixed trace grid: shared adders and QFT, per-point random. */
+/** Every field of two trace runs is equal. */
+void
+expectSameRun(const TraceResult &a, const TraceResult &b,
+              const std::string &label)
+{
+    EXPECT_EQ(a.makespan_s, b.makespan_s) << label;
+    EXPECT_EQ(a.baseline_s, b.baseline_s) << label;
+    EXPECT_EQ(a.speedup, b.speedup) << label;
+    EXPECT_EQ(a.instructions, b.instructions) << label;
+    EXPECT_EQ(a.accesses, b.accesses) << label;
+    EXPECT_EQ(a.hits, b.hits) << label;
+    EXPECT_EQ(a.misses, b.misses) << label;
+    EXPECT_EQ(a.evictions, b.evictions) << label;
+    EXPECT_EQ(a.hit_rate, b.hit_rate) << label;
+    EXPECT_EQ(a.transfer_utilization, b.transfer_utilization) << label;
+    EXPECT_EQ(a.mem_requests, b.mem_requests) << label;
+    EXPECT_EQ(a.writebacks, b.writebacks) << label;
+    EXPECT_EQ(a.bank_conflicts, b.bank_conflicts) << label;
+    EXPECT_EQ(a.mem_stall_ticks, b.mem_stall_ticks) << label;
+    EXPECT_EQ(a.mem_peak_queue, b.mem_peak_queue) << label;
+    EXPECT_EQ(a.mem_mean_queue, b.mem_mean_queue) << label;
+    EXPECT_EQ(a.mem_utilization, b.mem_utilization) << label;
+    EXPECT_EQ(a.blocks_used, b.blocks_used) << label;
+    EXPECT_EQ(a.block_utilization, b.block_utilization) << label;
+    EXPECT_EQ(a.peak_in_flight, b.peak_in_flight) << label;
+    EXPECT_EQ(a.mean_in_flight, b.mean_in_flight) << label;
+    EXPECT_EQ(a.events_executed, b.events_executed) << label;
+}
+
+TEST(TracePlateau, CapacitiesAtOrAboveTheFootprintRunOneSimulation)
+{
+    // The rule CompiledWorkload::traceResult keys its memo on: an LRU
+    // with a slot for every cacheable qubit the circuit touches never
+    // evicts, so every larger capacity runs the identical simulation,
+    // while one slot fewer must evict.
+    const auto params = iontrap::Params::future();
+    const int n = 32;
+    // Draper and ripple cache their two data registers (the scratch
+    // qubits are masked out); the QFT caches its one register.
+    for (const auto &[name, expected] :
+         std::vector<std::pair<std::string, std::size_t>>{
+             {"draper", 2 * n}, {"ripple", 2 * n}, {"qft", n}}) {
+        Random rng(1);
+        api::ExperimentSpec spec;
+        spec.workload = name;
+        spec.n = n;
+        const CompiledWorkload compiled(api::buildWorkload(spec, rng));
+        const auto footprint = compiled.footprint();
+        EXPECT_EQ(footprint, expected) << name;
+        if (name == "draper") {
+            EXPECT_LT(footprint, static_cast<std::size_t>(
+                                     compiled.program().qubitCount()));
+        }
+
+        TraceConfig config;
+        config.blocks = 16;
+        config.transfers = 3;
+        config.mem_banks = 2;
+        config.capacity = footprint;
+        const auto at = runTrace(compiled, config, params);
+        EXPECT_EQ(at.evictions, 0u) << name;
+        for (const auto capacity : {footprint + 1, 4 * footprint}) {
+            config.capacity = capacity;
+            expectSameRun(at, runTrace(compiled, config, params),
+                          name + " capacity=" + std::to_string(capacity));
+        }
+        config.capacity = footprint - 1;
+        EXPECT_GT(runTrace(compiled, config, params).evictions, 0u)
+            << name;
+    }
+}
+
+/**
+ * A mixed trace grid: shared adders and QFT, per-point random, at
+ * capacities below and past each circuit's footprint on both
+ * machines.
+ */
 std::vector<api::ExperimentSpec>
 mixedCompileGrid()
 {
@@ -675,11 +757,16 @@ mixedCompileGrid()
         api::SpecGrid grid;
         grid.base = api::parseSpec(std::string("experiment=trace n=16 "
                                                "gates=200 reps=2 "
-                                               "capacity=12 workload=") +
+                                               "workload=") +
                                    workload)
                         .spec;
         grid.axis("transfers", {"1", "4"});
         grid.axis("blocks", {"4", "16"});
+        // Straddles every footprint (at most 32 cacheable qubits): the
+        // larger capacities are twins served from the batch memo,
+        // kept apart per machine.
+        grid.axis("capacity", {"12", "64", "256"});
+        grid.axis("machine", {"future", "now"});
         for (auto &spec : grid.expand())
             specs.push_back(std::move(spec));
     }
