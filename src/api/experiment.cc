@@ -51,6 +51,29 @@ checkMemoryKnobs(std::vector<std::string> &errors,
 }
 
 /**
+ * The circuit checks of the two kinds that build a registered
+ * workload: a known generator, n in [2, 4096] and at least that
+ * generator's own minimum, which it would otherwise refuse fatally.
+ */
+void
+checkWorkload(std::vector<std::string> &errors,
+              const ExperimentSpec &spec, const char *kind)
+{
+    const auto *generator = findWorkload(spec.workload);
+    if (!generator)
+        errors.push_back(std::string(kind) + ": " +
+                         unknownNameDiagnostic("workload", spec.workload,
+                                               workloadNames()));
+    if (spec.n < 2 || spec.n > 4096)
+        errors.push_back(std::string(kind) +
+                         ": n must be in [2, 4096]");
+    else if (generator && spec.n < generator->min_n)
+        errors.push_back(std::string(kind) + ": workload " +
+                         generator->name + " needs n >= " +
+                         std::to_string(generator->min_n));
+}
+
+/**
  * The shared cache auto-sizing rule of the cache and trace kinds:
  * capacity == 0 resolves to capacity_x times the workload's PE qubit
  * count. Truncate, don't round: the paper-figure capacities (e.g.
@@ -173,13 +196,7 @@ class CacheExperiment final : public Experiment
     std::vector<std::string> validate() const override
     {
         std::vector<std::string> errors;
-        if (!findWorkload(_spec.workload))
-            errors.push_back(
-                "cache: " + unknownNameDiagnostic("workload",
-                                                  _spec.workload,
-                                                  workloadNames()));
-        checkRange(errors, _spec.n >= 2 && _spec.n <= 4096,
-                   "cache: n must be in [2, 4096]");
+        checkWorkload(errors, _spec, "cache");
         checkRange(errors,
                    _spec.capacity_x > 0.0 && _spec.capacity_x <= 1000000,
                    "cache: capacity_x must be in (0, 1000000]");
@@ -394,13 +411,7 @@ class TraceExperiment final : public Experiment
     std::vector<std::string> validate() const override
     {
         std::vector<std::string> errors;
-        if (!findWorkload(_spec.workload))
-            errors.push_back(
-                "trace: " + unknownNameDiagnostic("workload",
-                                                  _spec.workload,
-                                                  workloadNames()));
-        checkRange(errors, _spec.n >= 2 && _spec.n <= 4096,
-                   "trace: n must be in [2, 4096]");
+        checkWorkload(errors, _spec, "trace");
         // The spec parser bounds transfers to [1, 100000], but a spec
         // built in C++ can hold 0, which the engine refuses fatally —
         // catch it here so it stays a typed diagnostic.

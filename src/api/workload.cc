@@ -99,7 +99,7 @@ const std::vector<WorkloadGenerator> registry = {
     {"qft", "quantum Fourier transform with bit-reversal swaps",
      buildQft, false},
     {"random", "random mixed logical circuit (seeded per point)",
-     buildRandom, true},
+     buildRandom, true, 3},
 };
 
 } // namespace

@@ -43,6 +43,8 @@ struct WorkloadGenerator
      * on those may share one build.
      */
     bool seeded = false;
+    /** Smallest n the generator builds a circuit for. */
+    int min_n = 2;
 };
 
 /** All registered generators, in registration order. */

@@ -113,13 +113,7 @@ BankedMemory::meanQueue(Tick makespan) const
 double
 BankedMemory::utilization(Tick makespan) const
 {
-    if (makespan == 0 || _banks.empty())
-        return 0.0;
-    double busy = 0.0;
-    for (const auto &bank : _banks)
-        busy += static_cast<double>(bank->stats().busy_ticks);
-    return busy / (static_cast<double>(makespan) *
-                   static_cast<double>(_banks.size()));
+    return busyFraction(busyTicks(), makespan, banks());
 }
 
 } // namespace sim

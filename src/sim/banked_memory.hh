@@ -99,8 +99,14 @@ class BankedMemory : public Component
     /** Total bank service time charged so far. */
     Tick busyTicks() const;
 
-    /** Highest queue occupancy any single bank reached. */
+    /**
+     * Highest queue occupancy any single bank reached: zero exactly
+     * when every request found its bank idle and a port token free.
+     */
     std::size_t peakQueue() const;
+
+    /** Most requests in service at once across all banks. */
+    unsigned peakInService() const { return _tokens.peakInUse(); }
 
     /**
      * Time-weighted mean queued requests across the whole memory over

@@ -13,6 +13,16 @@ Component::Component(EventQueue &eq, std::string name)
 {
 }
 
+double
+busyFraction(Tick busy, Tick makespan, unsigned servers)
+{
+    const double capacity_ticks = static_cast<double>(makespan) *
+                                  static_cast<double>(servers);
+    return capacity_ticks > 0.0
+               ? static_cast<double>(busy) / capacity_ticks
+               : 0.0;
+}
+
 // ---------------------------------------------------------------------------
 // TokenPool
 // ---------------------------------------------------------------------------
@@ -28,7 +38,7 @@ TokenPool::tryAcquire()
 {
     if (_in_use >= _capacity)
         return false;
-    ++_in_use;
+    _peak_in_use = std::max(_peak_in_use, ++_in_use);
     return true;
 }
 
@@ -87,7 +97,8 @@ Port::submit(Tick service, CompletionFn on_done)
     if (_buffer.empty() && _overflow.empty() && _in_service < _width &&
         (_tokens == nullptr || _tokens->tryAcquire())) {
         const auto seq = _next_seq++;
-        ++_in_service;
+        _stats.peak_in_service =
+            std::max(_stats.peak_in_service, ++_in_service);
         _stats.busy_ticks += service;
         // Park the callback in the in-flight store so the scheduled
         // closure is two words and never spills out of its arena
@@ -149,7 +160,8 @@ Port::startFront()
         ++_stats.conflict_stalls;
         _stats.stall_ticks += waited;
     }
-    ++_in_service;
+    _stats.peak_in_service =
+        std::max(_stats.peak_in_service, ++_in_service);
     _stats.busy_ticks += request.service;
 
     // Park the callback in the in-flight store so the scheduled
@@ -197,11 +209,7 @@ Port::noteQueueChange()
 double
 Port::utilization(Tick makespan) const
 {
-    const double capacity_ticks = static_cast<double>(makespan) *
-                                  static_cast<double>(_width);
-    return capacity_ticks > 0.0
-               ? static_cast<double>(_stats.busy_ticks) / capacity_ticks
-               : 0.0;
+    return busyFraction(_stats.busy_ticks, makespan, _width);
 }
 
 double

@@ -76,6 +76,14 @@ class Component
 class Port;
 
 /**
+ * Busy fraction of @p servers servers over @p makespan ticks: @p busy
+ * server-ticks / (makespan x servers), 0 when either is zero. The one
+ * expression behind every utilization column, so a figure recomputed
+ * from kept busy ticks is the figure the run itself reported.
+ */
+double busyFraction(Tick busy, Tick makespan, unsigned servers);
+
+/**
  * A counted pool of issue tokens shared by the ports of one
  * component. Ports that find the pool empty park in FIFO order and
  * are woken — in that order — as tokens return.
@@ -88,6 +96,8 @@ class TokenPool
 
     unsigned capacity() const { return _capacity; }
     unsigned inUse() const { return _in_use; }
+    /** Most tokens ever held at once. */
+    unsigned peakInUse() const { return _peak_in_use; }
 
   private:
     friend class Port;
@@ -103,6 +113,7 @@ class TokenPool
 
     unsigned _capacity;
     unsigned _in_use = 0;
+    unsigned _peak_in_use = 0;
     std::deque<Port *> _waiters;
 };
 
@@ -132,7 +143,12 @@ class Port
         std::uint64_t buffer_overflows = 0;
         Tick stall_ticks = 0;         ///< total queued waiting time
         Tick busy_ticks = 0;          ///< total server-time held
-        std::size_t peak_queue = 0;   ///< max waiting (buffer+overflow)
+        /**
+         * Max waiting (buffer+overflow). Zero exactly when every
+         * submission took the uncontended fast path.
+         */
+        std::size_t peak_queue = 0;
+        unsigned peak_in_service = 0; ///< most requests served at once
         double queue_integral = 0.0;  ///< time-weighted queued requests
     };
 

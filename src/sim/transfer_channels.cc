@@ -22,11 +22,7 @@ TransferChannels::transfer(Tick hold, Tick busy, CompletionFn on_done)
 double
 TransferChannels::utilization(Tick makespan) const
 {
-    const double capacity_ticks = static_cast<double>(makespan) *
-                                  static_cast<double>(capacity());
-    return capacity_ticks > 0.0
-               ? static_cast<double>(_busy) / capacity_ticks
-               : 0.0;
+    return busyFraction(_busy, makespan, capacity());
 }
 
 } // namespace sim

@@ -77,6 +77,12 @@ class TransferChannels : public Component
     /** Highest queue occupancy the channel port reached. */
     std::size_t peakQueue() const { return _port.stats().peak_queue; }
 
+    /** Most channels ever held at once. */
+    unsigned peakInService() const
+    {
+        return _port.stats().peak_in_service;
+    }
+
     /**
      * Time-weighted mean queued transfers over @p makespan (0 when
      * the makespan is zero).

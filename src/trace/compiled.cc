@@ -79,32 +79,73 @@ CompiledWorkload::footprint() const
     return _footprint;
 }
 
+bool
+CompiledWorkload::KeptRun::covers(unsigned to_transfers,
+                                  unsigned to_banks) const
+{
+    const bool channels =
+        to_transfers == transfers ||
+        (!slack.transfers_waited && slack.peak_transfers <= to_transfers);
+    const bool memory =
+        to_banks == banks ||
+        (!slack.banks_waited &&
+         (to_banks % banks == 0 || slack.peak_banks <= 1));
+    return channels && memory;
+}
+
 TraceResult
 CompiledWorkload::traceResult(const TraceConfig &config,
                               const iontrap::Params &params) const
 {
-    // Capacity 0 keeps its own key, so runTrace still refuses it.
+    if (config.capacity == 0 || config.transfers == 0 ||
+        config.mem_banks == 0)
+        return runTrace(*this, config, params);
     auto key = config;
     key.capacity = std::min(config.capacity,
                             std::max<std::size_t>(1, footprint()));
-    // The runs kept under @p params; call with _run_mutex held.
-    const auto results = [&]() -> std::map<TraceConfig, TraceResult> & {
+    key.transfers = 0;
+    key.mem_banks = 0;
+    // The runs kept under (@p params, key); call with _run_mutex held.
+    const auto kept = [&]() -> std::vector<KeptRun> & {
         for (auto &entry : _runs)
             if (entry.params == params)
-                return entry.results;
-        return _runs.emplace_back(RunEntry{params, {}}).results;
+                return entry.runs[key];
+        return _runs.emplace_back(RunEntry{params, {}}).runs[key];
+    };
+    const auto covering = [&]() -> const KeptRun * {
+        for (const auto &run : kept())
+            if (run.covers(config.transfers, config.mem_banks))
+                return &run;
+        return nullptr;
     };
     {
         std::lock_guard<std::mutex> lock(_run_mutex);
-        const auto &kept = results();
-        if (const auto it = kept.find(key); it != kept.end())
-            return it->second;
+        if (const auto *run = covering()) {
+            auto result = run->result;
+            setUtilization(result, run->slack, config.transfers,
+                           config.mem_banks);
+            return result;
+        }
     }
     // Compute outside the lock: a racing duplicate is the same value.
-    const auto result = runTrace(*this, config, params);
+    TraceSlack slack;
+    const auto result = runTrace(*this, config, params, &slack);
     std::lock_guard<std::mutex> lock(_run_mutex);
-    results().emplace(key, result);
+    if (covering() == nullptr)
+        kept().push_back(
+            {config.transfers, config.mem_banks, result, slack});
     return result;
+}
+
+std::size_t
+CompiledWorkload::keptRuns() const
+{
+    std::lock_guard<std::mutex> lock(_run_mutex);
+    std::size_t count = 0;
+    for (const auto &entry : _runs)
+        for (const auto &[key, runs] : entry.runs)
+            count += runs.size();
+    return count;
 }
 
 } // namespace trace

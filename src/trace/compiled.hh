@@ -10,11 +10,31 @@
  * depends on the circuit plus (block count, latency model) alone, so
  * its makespan is computed on first request and kept on the object.
  *
- * Whole runs are kept the same way. A level-1 LRU with at least as
- * many slots as the circuit's cacheable footprint never evicts, so
- * every such capacity runs the identical simulation: traceResult()
- * keys its memo on the capacity clamped to the footprint, and a
- * sweep over capacities past the working set simulates once.
+ * Whole runs are kept the same way, each with its slack (TraceSlack):
+ * whether any request waited for a transfer channel or a memory bank,
+ * and the peak of each in use. A resource no request waited for
+ * changed nothing with its spare units — the paper's speedup plateau
+ * once bandwidth matches the parallelism a circuit can use (Figs.
+ * 6a/6b) — so one kept run stands for every configuration it
+ * provably replays event for event. traceResult() keys its memo on
+ * the configuration without its channel and bank counts, with the
+ * capacity clamped to the circuit's cacheable footprint (an LRU with
+ * a slot for every qubit it caches never evicts). A run kept at T
+ * channels and B banks covers T' channels and B' banks when both
+ * hold:
+ *
+ *  - T' == T, or no transfer waited and the peak channels in use
+ *    <= T' (every transfer still finds a channel free);
+ *  - B' == B, or no bank request waited and either B divides B'
+ *    (each bank of B' serves a subset of one bank of B) or at most
+ *    one request was ever in service (every bank is idle on each
+ *    arrival).
+ *
+ * A covered point returns the kept row with its transfer and memory
+ * utilization recomputed from the kept busy ticks by setUtilization(),
+ * the expression runTrace() itself uses. On perfbench's sweep-shared
+ * grid this runs 14 simulations for 72 points: the capacity clamp
+ * alone left 36.
  */
 
 #ifndef QMH_TRACE_COMPILED_HH
@@ -75,13 +95,16 @@ class CompiledWorkload
     std::size_t footprint() const;
 
     /**
-     * runTrace(*this, @p config, @p params), computed on first request
-     * per (config with capacity clamped to footprint(), params) and
-     * kept; thread-safe. Capacities at or above the footprint never
-     * evict, so they share one entry.
+     * runTrace(*this, @p config, @p params), served from a kept run
+     * that covers @p config (file comment) or simulated and kept;
+     * thread-safe. Configurations runTrace() refuses go straight to
+     * it.
      */
     TraceResult traceResult(const TraceConfig &config,
                             const iontrap::Params &params) const;
+
+    /** Runs traceResult() has kept so far, over every parameter set. */
+    std::size_t keptRuns() const;
 
   private:
     struct FlatEntry
@@ -91,11 +114,25 @@ class CompiledWorkload
         std::uint64_t makespan;
     };
 
-    /** The kept runs under one parameter set. */
+    /** One simulated run and the slack that says what it covers. */
+    struct KeptRun
+    {
+        unsigned transfers;
+        unsigned banks;
+        TraceResult result;
+        TraceSlack slack;
+
+        bool covers(unsigned transfers, unsigned banks) const;
+    };
+
+    /**
+     * The kept runs under one parameter set, keyed by configuration
+     * without transfers and mem_banks, capacity clamped.
+     */
     struct RunEntry
     {
         iontrap::Params params;
-        std::map<TraceConfig, TraceResult> results;
+        std::map<TraceConfig, std::vector<KeptRun>> runs;
     };
 
     circuit::Workload _workload;
@@ -112,7 +149,8 @@ class CompiledWorkload
     mutable std::size_t _footprint = 0;
 
     // A batch runs one or two machine presets, so the parameter sets
-    // are scanned; the configurations under each are many.
+    // are scanned; the configurations under each are many, and the
+    // few channel and bank counts under each key are scanned.
     mutable std::mutex _run_mutex;
     mutable std::vector<RunEntry> _runs;
 };

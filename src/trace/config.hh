@@ -88,6 +88,27 @@ struct TraceResult
     std::uint64_t events_executed = 0;
 };
 
+/**
+ * What one run left unused of its transfer channels and memory banks.
+ * Spare units of a resource no request ever waited for changed
+ * nothing, so this says which other channel and bank counts replay
+ * the run event for event (CompiledWorkload::traceResult), and keeps
+ * the integer busy time their utilization columns are recomputed
+ * from (setUtilization()).
+ */
+struct TraceSlack
+{
+    Tick makespan = 0;
+    /** Some transfer waited for a channel (channel peak queue > 0). */
+    bool transfers_waited = false;
+    unsigned peak_transfers = 0;  ///< most channels held at once
+    Tick transfer_busy = 0;       ///< channel-ticks held
+    /** Some request waited for its bank or a memory port. */
+    bool banks_waited = false;
+    unsigned peak_banks = 0;      ///< most bank requests in service at once
+    Tick mem_busy = 0;            ///< bank-ticks held
+};
+
 } // namespace trace
 } // namespace qmh
 

@@ -142,9 +142,19 @@ struct EngineCtx
 
 } // namespace
 
+void
+setUtilization(TraceResult &result, const TraceSlack &slack,
+               unsigned transfers, unsigned banks)
+{
+    result.transfer_utilization =
+        sim::busyFraction(slack.transfer_busy, slack.makespan, transfers);
+    result.mem_utilization =
+        sim::busyFraction(slack.mem_busy, slack.makespan, banks);
+}
+
 TraceResult
 runTrace(const CompiledWorkload &compiled, const TraceConfig &config,
-         const iontrap::Params &params)
+         const iontrap::Params &params, TraceSlack *slack)
 {
     const auto &program = compiled.program();
     if (config.capacity == 0)
@@ -155,6 +165,9 @@ runTrace(const CompiledWorkload &compiled, const TraceConfig &config,
     const auto m = static_cast<std::uint32_t>(program.size());
     TraceResult result;
     result.instructions = m;
+    // An empty program runs nothing, so it waits for nothing.
+    if (slack)
+        *slack = {};
 
     const auto code = ecc::Code::byKind(config.code);
 
@@ -225,15 +238,24 @@ runTrace(const CompiledWorkload &compiled, const TraceConfig &config,
                                 static_cast<double>(result.accesses)
                           : 0.0;
 
-    result.transfer_utilization = channels.utilization(makespan);
-
     result.mem_requests = memory.requests();
     result.writebacks = ctx.writebacks;
     result.bank_conflicts = memory.bankConflicts();
     result.mem_stall_ticks = memory.stallTicks();
     result.mem_peak_queue = memory.peakQueue();
     result.mem_mean_queue = memory.meanQueue(makespan);
-    result.mem_utilization = memory.utilization(makespan);
+
+    TraceSlack measured;
+    measured.makespan = makespan;
+    measured.transfers_waited = channels.peakQueue() > 0;
+    measured.peak_transfers = channels.peakInService();
+    measured.transfer_busy = channels.busyTicks();
+    measured.banks_waited = memory.peakQueue() > 0;
+    measured.peak_banks = memory.peakInService();
+    measured.mem_busy = memory.busyTicks();
+    setUtilization(result, measured, config.transfers, config.mem_banks);
+    if (slack)
+        *slack = measured;
 
     result.blocks_used = scheduler.blocksUsed();
 

@@ -57,11 +57,22 @@ namespace trace {
  * Borrows the compiled DAG and schedule tables (rebuilding the
  * tables only when config.latency differs from the compiled model).
  * Panics on a malformed config (zero capacity or channels); validate
- * specs at the api layer for recoverable diagnostics.
+ * specs at the api layer for recoverable diagnostics. A non-null
+ * @p slack receives the run's channel and bank slack.
  */
 TraceResult runTrace(const CompiledWorkload &compiled,
                      const TraceConfig &config,
-                     const iontrap::Params &params);
+                     const iontrap::Params &params,
+                     TraceSlack *slack = nullptr);
+
+/**
+ * Set @p result's transfer_utilization and mem_utilization for a run
+ * measured as @p slack, at @p transfers channels and @p banks banks.
+ * runTrace() sets its own columns here, so a run replayed at other
+ * counts reports what a fresh run at those counts would.
+ */
+void setUtilization(TraceResult &result, const TraceSlack &slack,
+                    unsigned transfers, unsigned banks);
 
 /**
  * Compile @p workload for this one run, then runTrace() it. Panics

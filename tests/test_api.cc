@@ -230,6 +230,12 @@ TEST(Experiments, ValidateCatchesBadRanges)
     EXPECT_FALSE(makeExperiment(spec)->validate().empty());
     spec.capacity_x = 1000000;
     EXPECT_TRUE(makeExperiment(spec)->validate().empty());
+    // The random generator needs three qubits: n=2 is a diagnostic,
+    // not a generator fatal at run time.
+    spec = parseSpec("experiment=cache workload=random n=2").spec;
+    EXPECT_FALSE(makeExperiment(spec)->validate().empty());
+    spec.n = 3;
+    EXPECT_TRUE(makeExperiment(spec)->validate().empty());
 
     spec = ExperimentSpec{};
     spec.kind = ExperimentKind::MonteCarlo;

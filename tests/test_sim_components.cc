@@ -2,12 +2,14 @@
  * @file
  * Component-kernel tests: Port arbitration determinism, TokenPool
  * FIFO wake order, bounded-buffer backpressure, the banked memory's
- * conflict accounting, and the division guards on every utilization
- * and mean-queue report.
+ * conflict accounting, the peak-queue and peak-in-service slack
+ * counters trace runs keep, and the division guards on every
+ * utilization and mean-queue report.
  */
 
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 #include "sim/banked_memory.hh"
@@ -74,6 +76,108 @@ TEST(SimPort, SameTickRequestsGrantInSubmissionOrder)
     EXPECT_EQ(port.stats().stall_ticks, 60u);
     EXPECT_EQ(port.stats().peak_queue, 3u);
     EXPECT_GT(port.meanQueue(40), 0.0);
+}
+
+TEST(SimPort, EveryMissedFastPathRaisesPeakQueue)
+{
+    // peak_queue == 0 is the slack certificate trace runs keep: it
+    // must hold exactly when every submission went straight into
+    // service. The hard case misses the fast path with zero wait: at
+    // tick 10 a submission finds the one server still held by a
+    // request whose completion is pending at that same tick. It
+    // starts at tick 10 after all, so conflict_stalls stays 0 — which
+    // is why the certificate reads peak_queue, not conflict_stalls.
+    EventQueue eq;
+    Component owner(eq, "memory");
+    Port port(owner, "p0", /*width=*/1, /*buffer_limit=*/4);
+    Tick second_done = 0;
+    // Scheduled first, so it dispatches before the completion event
+    // the tick-0 submission schedules for tick 10.
+    eq.schedule(10, [&]() {
+        port.submit(10, [&]() { second_done = eq.now(); });
+    });
+    eq.schedule(0, [&]() { port.submit(10, {}); });
+    eq.run();
+    EXPECT_EQ(second_done, 20u);
+    EXPECT_EQ(port.stats().conflict_stalls, 0u);
+    EXPECT_EQ(port.stats().stall_ticks, 0u);
+    EXPECT_EQ(port.stats().peak_queue, 1u);
+
+    // The same zero-wait miss on a free server whose shared token is
+    // still held by another port's pending completion.
+    EventQueue eq2;
+    Component owner2(eq2, "memory");
+    TokenPool tokens(1);
+    Port a(owner2, "a", 1, 4, &tokens);
+    Port b(owner2, "b", 1, 4, &tokens);
+    eq2.schedule(10, [&]() { b.submit(10, {}); });
+    eq2.schedule(0, [&]() { a.submit(10, {}); });
+    eq2.run();
+    EXPECT_EQ(eq2.now(), 20u);
+    EXPECT_EQ(b.stats().conflict_stalls, 0u);
+    EXPECT_EQ(b.stats().peak_queue, 1u);
+    EXPECT_EQ(a.stats().peak_queue, 0u);
+
+    // A submission behind an already-queued request misses too.
+    EventQueue eq3;
+    Component owner3(eq3, "memory");
+    Port busy(owner3, "p0", /*width=*/1, /*buffer_limit=*/4);
+    eq3.schedule(0, [&]() {
+        busy.submit(10, {});
+        busy.submit(10, {});
+        busy.submit(10, {});
+    });
+    eq3.run();
+    EXPECT_EQ(busy.stats().peak_queue, 2u);
+}
+
+TEST(SimPort, PeakInServiceIsTheMostServersHeldAtOnce)
+{
+    EventQueue eq;
+    Component owner(eq, "wire");
+    Port port(owner, "p0", /*width=*/3, /*buffer_limit=*/4);
+    EXPECT_EQ(port.stats().peak_in_service, 0u);
+    eq.schedule(0, [&]() {
+        port.submit(10, {});
+        port.submit(10, {});
+    });
+    // Two fast-path starts, then one more beside them and one queued
+    // until a server frees.
+    eq.schedule(5, [&]() {
+        port.submit(10, {});
+        port.submit(10, {});
+    });
+    eq.run();
+    EXPECT_EQ(port.stats().peak_in_service, 3u);
+    EXPECT_EQ(port.stats().peak_queue, 1u);
+
+    // Serial traffic never holds more than one server.
+    EventQueue eq2;
+    Component owner2(eq2, "wire");
+    Port serial(owner2, "p0", /*width=*/3, /*buffer_limit=*/4);
+    eq2.schedule(0, [&]() { serial.submit(10, {}); });
+    eq2.schedule(11, [&]() { serial.submit(10, {}); });
+    eq2.run();
+    EXPECT_EQ(serial.stats().peak_in_service, 1u);
+    EXPECT_EQ(serial.stats().peak_queue, 0u);
+}
+
+TEST(SimTokenPool, PeakInUseIsTheMostTokensHeldAtOnce)
+{
+    EventQueue eq;
+    Component owner(eq, "memory");
+    TokenPool tokens(4);
+    Port a(owner, "a", 1, 4, &tokens);
+    Port b(owner, "b", 1, 4, &tokens);
+    Port c(owner, "c", 1, 4, &tokens);
+    eq.schedule(0, [&]() {
+        a.submit(10, {});
+        b.submit(10, {});
+    });
+    eq.schedule(5, [&]() { c.submit(10, {}); });
+    eq.run();
+    EXPECT_EQ(tokens.peakInUse(), 3u);
+    EXPECT_EQ(tokens.inUse(), 0u);
 }
 
 TEST(SimPort, BoundedBufferBackpressuresFifo)
@@ -255,6 +359,48 @@ TEST(SimBankedMemory, SharedPortsCapCrossBankParallelism)
     EXPECT_EQ(eq.now(), 40u);  // ceil(8 / 2) waves of 10
     EXPECT_EQ(memory.bankConflicts(), 6u);
     EXPECT_EQ(memory.served(), 8u);
+}
+
+TEST(SimBankedMemory, PeakInServiceCountsAcrossBanks)
+{
+    // The shared port pool's peak: eight banks behind two ports never
+    // serve more than two requests at once; three banks behind four
+    // ports serve three.
+    for (const auto &[banks, ports, expected] :
+         {std::tuple{8u, 2u, 2u}, std::tuple{3u, 4u, 3u}}) {
+        EventQueue eq;
+        BankedMemoryConfig config;
+        config.banks = banks;
+        config.ports = ports;
+        config.cycles_per_request = 10;
+        BankedMemory memory(eq, "mem", config);
+        eq.schedule(0, [&]() {
+            for (std::uint64_t address = 0; address < banks; ++address)
+                memory.request(address, 1, {});
+        });
+        eq.run();
+        EXPECT_EQ(memory.peakInService(), expected) << banks;
+    }
+}
+
+TEST(SimBankedMemory, UtilizationIsTheSharedBusyFraction)
+{
+    EventQueue eq;
+    BankedMemoryConfig config;
+    config.banks = 3;
+    config.cycles_per_request = 7;
+    BankedMemory memory(eq, "mem", config);
+    eq.schedule(0, [&]() {
+        for (std::uint64_t address = 0; address < 5; ++address)
+            memory.request(address, 1, {});
+    });
+    eq.run();
+    EXPECT_EQ(memory.busyTicks(), 35u);
+    EXPECT_EQ(memory.utilization(eq.now()),
+              busyFraction(memory.busyTicks(), eq.now(), 3));
+    EXPECT_DOUBLE_EQ(memory.utilization(eq.now()), 35.0 / (14.0 * 3.0));
+    EXPECT_EQ(busyFraction(35, 0, 3), 0.0);
+    EXPECT_EQ(busyFraction(35, 14, 0), 0.0);
 }
 
 TEST(SimBankedMemory, FullBankBufferBackpressures)

@@ -5,9 +5,9 @@
  * with ordinary and edge values per key. Every batch that validates
  * must run through api::runSpecSweep to one row per point, with no
  * panic, fatal or hang. Trace batches repeat effective
- * configurations (capacities past the circuit's footprint, exact
- * repeats), and their shared-compile rows must equal each point run
- * on its own.
+ * configurations (capacities past the circuit's footprint, channel
+ * and bank counts a kept run covers, exact repeats), and their
+ * shared-compile rows must equal each point run on its own.
  */
 
 #include <gtest/gtest.h>
@@ -106,9 +106,11 @@ class SpecFuzzer
 
     /**
      * A batch of one kind: a spec and up to three variants of it. A
-     * trace variant redraws its capacity knobs, so points land on
-     * both sides of the footprint; others redraw one key. Some
-     * variants repeat an earlier point exactly.
+     * trace variant redraws its channel and bank counts, so points
+     * land inside and outside a kept run's slack, and half the time
+     * its capacity knobs, so points land on both sides of the
+     * footprint; others redraw one key. Some variants repeat an
+     * earlier point exactly.
      */
     std::vector<ExperimentSpec>
     batch()
@@ -120,8 +122,12 @@ class SpecFuzzer
             if (_rng.bernoulli(0.25)) {
                 // An exact repeat.
             } else if (next.kind == ExperimentKind::Trace) {
-                set(next, "capacity");
-                set(next, "capacity_x");
+                if (_rng.bernoulli(0.5)) {
+                    set(next, "capacity");
+                    set(next, "capacity_x");
+                }
+                set(next, "transfers");
+                set(next, "mem_banks");
             } else {
                 // Any key but the kind, which must stay the batch's.
                 const auto &keys = specKeys();

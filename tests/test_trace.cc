@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "api/experiment.hh"
@@ -203,6 +204,15 @@ TEST(TraceExperimentApi, ValidateCatchesBadRanges)
     spec = api::parseSpec("experiment=trace").spec;
     spec.transfers = 0;
     EXPECT_FALSE(api::makeExperiment(spec)->validate().empty());
+    // Each generator's own minimum n: random needs three qubits.
+    spec = api::parseSpec("experiment=trace workload=random n=2").spec;
+    const auto errors = api::makeExperiment(spec)->validate();
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_EQ(errors.front(), "trace: workload random needs n >= 3");
+    spec.n = 3;
+    EXPECT_TRUE(api::makeExperiment(spec)->validate().empty());
+    spec = api::parseSpec("experiment=trace workload=qft n=2").spec;
+    EXPECT_TRUE(api::makeExperiment(spec)->validate().empty());
     spec = api::parseSpec("experiment=trace").spec;
     EXPECT_TRUE(api::makeExperiment(spec)->validate().empty());
 }
@@ -741,6 +751,207 @@ TEST(TracePlateau, CapacitiesAtOrAboveTheFootprintRunOneSimulation)
         config.capacity = footprint - 1;
         EXPECT_GT(runTrace(compiled, config, params).evictions, 0u)
             << name;
+    }
+}
+
+/** @p items in a Fisher-Yates order drawn from @p seed. */
+template <typename T>
+void
+shuffleWith(std::vector<T> &items, std::uint64_t seed)
+{
+    Random rng(seed);
+    for (std::size_t i = items.size(); i > 1; --i)
+        std::swap(items[i - 1], items[rng.uniformInt(i)]);
+}
+
+/**
+ * Look every transfers x mem_banks point of @p config up through one
+ * fresh CompiledWorkload, in an order drawn from @p order_seed, and
+ * expect each to equal a direct run field for field. Returns
+ * {points, runs kept}.
+ */
+std::pair<std::size_t, std::size_t>
+expectLookupsEqualDirectRuns(const circuit::Workload &workload,
+                             TraceConfig config, std::uint64_t order_seed,
+                             const std::string &label)
+{
+    const CompiledWorkload compiled(workload);
+    const auto params = iontrap::Params::future();
+    std::vector<std::pair<unsigned, unsigned>> points;
+    for (const unsigned transfers : {1u, 2u, 3u, 5u, 10u, 20u})
+        for (const unsigned banks : {1u, 2u, 3u, 4u, 6u, 8u, 16u})
+            points.emplace_back(transfers, banks);
+    shuffleWith(points, order_seed);
+    for (const auto &[transfers, banks] : points) {
+        config.transfers = transfers;
+        config.mem_banks = banks;
+        expectSameRun(compiled.traceResult(config, params),
+                      runTrace(compiled, config, params),
+                      label + " transfers=" + std::to_string(transfers) +
+                          " mem_banks=" + std::to_string(banks));
+    }
+    return {points.size(), compiled.keptRuns()};
+}
+
+TEST(TracePlateau, CoveredLookupsEqualDirectRuns)
+{
+    // A kept run serves every channel and bank count its slack
+    // covers. Each lookup must be exactly the run it stands for, its
+    // recomputed utilizations included, with the cache holding the
+    // working set and under pressure.
+    std::size_t points = 0, kept = 0, pressure_points = 0,
+                pressure_kept = 0;
+    std::uint64_t order = 0;
+    for (const std::string name :
+         {"workload=draper n=32", "workload=ripple n=32",
+          "workload=qft n=24", "workload=random n=32 gates=600",
+          "workload=draper n=24 mem_ports=2"}) {
+        const auto spec = api::parseSpec("experiment=trace " + name).spec;
+        Random rng(7);
+        const auto workload = api::buildWorkload(spec, rng);
+        const auto footprint = CompiledWorkload(workload).footprint();
+        for (const auto divisor : {1u, 2u, 4u})
+            for (const unsigned blocks : {4u, 16u}) {
+                TraceConfig config;
+                config.blocks = blocks;
+                config.mem_ports = spec.mem_ports;
+                config.capacity = footprint / divisor;
+                const auto [p, k] = expectLookupsEqualDirectRuns(
+                    workload, config, ++order,
+                    name + " capacity=" +
+                        std::to_string(config.capacity) +
+                        " blocks=" + std::to_string(blocks));
+                (divisor == 1 ? points : pressure_points) += p;
+                (divisor == 1 ? kept : pressure_kept) += k;
+            }
+    }
+    // Both grids must actually reach covered lookups.
+    EXPECT_LT(kept, points / 2);
+    EXPECT_LT(pressure_kept, pressure_points);
+}
+
+TEST(TracePlateau, SlackCoversOnlyWhatReplaysTheRun)
+{
+    // Hand-sized circuits that pin each branch of the covering rule.
+    // cnot q0 q3 fills q0 and q3 at once: two channels and two bank
+    // requests in service together. At 2 banks they take banks 0 and
+    // 1 and never wait; at 3 banks both hash to bank 0 and one waits,
+    // so the run at 2 banks covers 4 (2 divides 4) but not 3.
+    const auto workload = [](const std::string &gates) {
+        const auto parsed =
+            circuit::parseText("name slack\nqubits 6\n" + gates);
+        EXPECT_TRUE(parsed.ok) << parsed.error;
+        return circuit::Workload{parsed.program, {}, 0};
+    };
+    const auto params = iontrap::Params::future();
+    TraceConfig config;
+    config.blocks = 4;
+    config.capacity = 6;
+    config.mem_ports = 4;
+    const auto lookup = [&](const CompiledWorkload &compiled,
+                            unsigned transfers, unsigned banks) {
+        config.transfers = transfers;
+        config.mem_banks = banks;
+        const auto direct = runTrace(compiled, config, params);
+        expectSameRun(compiled.traceResult(config, params), direct,
+                      "transfers=" + std::to_string(transfers) +
+                          " mem_banks=" + std::to_string(banks));
+        return direct;
+    };
+
+    const CompiledWorkload pair(workload("cnot q0 q3\n"));
+    EXPECT_EQ(lookup(pair, 4, 2).bank_conflicts, 0u);
+    lookup(pair, 4, 4);
+    lookup(pair, 2, 2);
+    EXPECT_EQ(pair.keptRuns(), 1u);
+    EXPECT_EQ(lookup(pair, 4, 3).bank_conflicts, 1u);
+    EXPECT_EQ(pair.keptRuns(), 2u);
+    // Two transfers at once: one channel makes the second wait.
+    lookup(pair, 1, 2);
+    EXPECT_EQ(pair.keptRuns(), 3u);
+
+    // One fill at a time: any bank count finds every bank idle, even
+    // where q0 and q3 share a bank.
+    const CompiledWorkload serial(workload("h q0\ncnot q0 q3\n"));
+    for (const unsigned banks : {2u, 3u, 5u, 1u})
+        lookup(serial, 1, banks);
+    EXPECT_EQ(serial.keptRuns(), 1u);
+}
+
+/** perfbench's sweep-shared grid: 72 points over three circuits. */
+std::vector<api::ExperimentSpec>
+sweepSharedGrid()
+{
+    std::vector<api::ExperimentSpec> specs;
+    for (const char *base : {"experiment=trace workload=draper n=256",
+                             "experiment=trace workload=ripple n=256",
+                             "experiment=trace workload=qft n=128"}) {
+        api::SpecGrid grid;
+        grid.base = api::parseSpec(base).spec;
+        grid.axis("blocks", {"16", "49"});
+        grid.axis("transfers", {"2", "5", "10"});
+        grid.axis("capacity_x", {"1.5", "2"});
+        grid.axis("mem_banks", {"1", "8"});
+        for (auto &spec : grid.expand())
+            specs.push_back(std::move(spec));
+    }
+    return specs;
+}
+
+TEST(TracePlateau, SweepSharedGridSimulatesFourteenRuns)
+{
+    // Grouping sweep-shared's points by every non-derived result
+    // field leaves 14 distinct outcomes (draper 6, ripple 6, qft 2).
+    // One worker simulates exactly those, in any point order, and the
+    // rows at one and four workers equal each point run on its own.
+    const std::uint64_t seed = 9;
+    for (const std::uint64_t order : {1u, 2u, 3u}) {
+        auto specs = sweepSharedGrid();
+        ASSERT_EQ(specs.size(), 72u);
+        shuffleWith(specs, order);
+
+        auto batch = api::validateExperiments(specs);
+        ASSERT_TRUE(batch.ok()) << batch.error().describe();
+        const auto &experiments = batch.value();
+        auto columns = experiments.front()->columns();
+        columns.emplace_back("seed");
+        sweep::ResultTable serial(columns);
+        for (std::size_t i = 0; i < experiments.size(); ++i) {
+            const auto point_seed = sweep::pointSeed(seed, i);
+            Random rng(point_seed);
+            auto row = experiments[i]->run(rng);
+            row.emplace_back(point_seed);
+            serial.addRow(std::move(row));
+        }
+        std::vector<const CompiledWorkload *> compiled;
+        for (const auto &experiment : experiments) {
+            const auto *shared = api::sharedCompiledWorkload(*experiment);
+            ASSERT_NE(shared, nullptr);
+            if (std::find(compiled.begin(), compiled.end(), shared) ==
+                compiled.end())
+                compiled.push_back(shared);
+        }
+        ASSERT_EQ(compiled.size(), 3u);
+        std::size_t runs = 0;
+        for (const auto *workload : compiled)
+            runs += workload->keptRuns();
+        EXPECT_EQ(runs, 14u) << "order " << order;
+
+        sweep::ResultTable alone(columns);
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            const auto point_seed = sweep::pointSeed(seed, i);
+            Random rng(point_seed);
+            auto row = api::makeExperiment(specs[i])->run(rng);
+            row.emplace_back(point_seed);
+            alone.addRow(std::move(row));
+        }
+        const auto expected = csvOf(alone);
+        EXPECT_EQ(csvOf(serial), expected) << "order " << order;
+        for (const unsigned threads : {1u, 4u})
+            EXPECT_EQ(csvOf(api::runSpecSweep(
+                          specs, {.threads = threads, .base_seed = seed})),
+                      expected)
+                << "order " << order << ", " << threads << " worker(s)";
     }
 }
 
