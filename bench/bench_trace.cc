@@ -59,7 +59,12 @@ printTraceTable()
                 "parallelism (paper Fig. 2 / Fig. 7 / Table 5).\n\n");
 }
 
-/** One end-to-end trace run (engine cost without the sweep layer). */
+/**
+ * One trace run from a bare workload, as one sweep point pays it
+ * without a shared compile: every iteration builds the DAG, the
+ * schedule tables and the flat baseline before the engine runs. See
+ * BM_TraceKernel for the engine alone.
+ */
 void
 BM_TraceRun(benchmark::State &state)
 {
@@ -80,6 +85,45 @@ BM_TraceRun(benchmark::State &state)
         static_cast<double>(workload.program.size());
 }
 BENCHMARK(BM_TraceRun)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
+
+/**
+ * The engine alone: runTrace over one precompiled sweep-distinct
+ * circuit (random n=256 gates=20000 mem_ports=1) whose working set
+ * the cache holds, at the blocks given by the argument. The flat
+ * baseline is computed once before timing and kept by the compiled
+ * workload, so the loop times the event kernel, the scheduler and
+ * the cache. time_per_gate is host time per gate; events_per_gate
+ * counts the events one run dispatches.
+ */
+void
+BM_TraceKernel(benchmark::State &state)
+{
+    const auto spec = api::parseSpec("experiment=trace workload=random "
+                                     "n=256 gates=20000 mem_ports=1")
+                          .spec;
+    Random rng(7);
+    const trace::CompiledWorkload compiled(api::buildWorkload(spec, rng));
+    trace::TraceConfig config;
+    config.blocks = static_cast<unsigned>(state.range(0));
+    config.transfers = 5;
+    config.capacity = 256;
+    config.mem_banks = 2;
+    config.mem_ports = 1;
+    const auto params = iontrap::Params::future();
+    const auto events =
+        trace::runTrace(compiled, config, params).events_executed;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(trace::runTrace(compiled, config, params));
+    const auto gates = static_cast<double>(compiled.program().size());
+    state.counters["time_per_gate"] = benchmark::Counter(
+        gates * static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    state.counters["events_per_gate"] =
+        static_cast<double>(events) / gates;
+}
+BENCHMARK(BM_TraceKernel)
+    ->ArgName("blocks")->Arg(16)->Arg(49)
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * The flat baseline schedule's host time per gate, over tables compiled

@@ -23,74 +23,6 @@ QubitCache::QubitCache(std::size_t capacity) : _capacity(capacity)
         qmh_fatal("QubitCache: capacity must be nonzero");
 }
 
-void
-QubitCache::unlink(std::uint32_t n)
-{
-    const auto &node = _nodes[n];
-    if (node.prev != npos)
-        _nodes[node.prev].next = node.next;
-    else
-        _head = node.next;
-    if (node.next != npos)
-        _nodes[node.next].prev = node.prev;
-    else
-        _tail = node.prev;
-}
-
-void
-QubitCache::linkFront(std::uint32_t n)
-{
-    auto &node = _nodes[n];
-    node.prev = npos;
-    node.next = _head;
-    if (_head != npos)
-        _nodes[_head].prev = n;
-    else
-        _tail = n;
-    _head = n;
-}
-
-bool
-QubitCache::touch(circuit::QubitId qubit,
-                  std::vector<circuit::QubitId> *evicted)
-{
-    const auto id = qubit.value();
-    if (id >= _where.size())
-        _where.resize(id + 1, npos);
-    auto n = _where[id];
-    if (n != npos) {
-        if (_head != n) {
-            unlink(n);
-            linkFront(n);
-        }
-        return true;
-    }
-    if (_nodes.size() >= _capacity) {
-        // Evict the LRU entry and reuse its node slot in place.
-        n = _tail;
-        const auto victim = _nodes[n].qubit;
-        _where[victim.value()] = npos;
-        ++_evictions;
-        if (evicted)
-            evicted->push_back(victim);
-        unlink(n);
-        _nodes[n].qubit = qubit;
-    } else {
-        n = static_cast<std::uint32_t>(_nodes.size());
-        _nodes.push_back({qubit, npos, npos});
-    }
-    _where[id] = n;
-    linkFront(n);
-    return false;
-}
-
-bool
-QubitCache::contains(circuit::QubitId qubit) const
-{
-    return qubit.value() < _where.size() &&
-           _where[qubit.value()] != npos;
-}
-
 std::vector<circuit::QubitId>
 QubitCache::residents() const
 {
@@ -105,33 +37,6 @@ CacheState::CacheState(std::size_t capacity,
                        std::vector<bool> cacheable)
     : _cache(capacity), _cacheable(std::move(cacheable))
 {
-}
-
-void
-CacheState::missingOperandsInto(
-    const circuit::Instruction &inst,
-    std::vector<circuit::QubitId> &out) const
-{
-    out.clear();
-    for (const auto &q : inst.operands())
-        if (isCacheable(q) && !_cache.contains(q))
-            out.push_back(q);
-}
-
-void
-CacheState::accessInto(const circuit::Instruction &inst,
-                       std::vector<circuit::QubitId> &evicted)
-{
-    evicted.clear();
-    for (const auto &q : inst.operands()) {
-        if (!isCacheable(q))
-            continue;
-        ++_accesses;
-        if (_cache.touch(q, &evicted))
-            ++_hits;
-        else
-            ++_misses;
-    }
 }
 
 void

@@ -153,6 +153,16 @@ class CacheState
     void accessInto(const circuit::Instruction &inst,
                     std::vector<circuit::QubitId> &evicted);
 
+    /**
+     * missingOperandsInto() then accessInto() in one inline call, for
+     * per-gate issue loops: @p missing receives the cacheable
+     * operands not resident before the issue touched anything, and
+     * @p evicted the qubits its touches evicted (both cleared first).
+     */
+    void issueInto(const circuit::Instruction &inst,
+                   std::vector<circuit::QubitId> &missing,
+                   std::vector<circuit::QubitId> &evicted);
+
     /** Reset the access counters, keeping residency (warm start). */
     void resetCounters();
 
@@ -171,6 +181,109 @@ class CacheState
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;
 };
+
+inline void
+QubitCache::unlink(std::uint32_t n)
+{
+    const auto &node = _nodes[n];
+    if (node.prev != npos)
+        _nodes[node.prev].next = node.next;
+    else
+        _head = node.next;
+    if (node.next != npos)
+        _nodes[node.next].prev = node.prev;
+    else
+        _tail = node.prev;
+}
+
+inline void
+QubitCache::linkFront(std::uint32_t n)
+{
+    auto &node = _nodes[n];
+    node.prev = npos;
+    node.next = _head;
+    if (_head != npos)
+        _nodes[_head].prev = n;
+    else
+        _tail = n;
+    _head = n;
+}
+
+inline bool
+QubitCache::touch(circuit::QubitId qubit,
+                  std::vector<circuit::QubitId> *evicted)
+{
+    const auto id = qubit.value();
+    if (id >= _where.size())
+        _where.resize(id + 1, npos);
+    auto n = _where[id];
+    if (n != npos) {
+        if (_head != n) {
+            unlink(n);
+            linkFront(n);
+        }
+        return true;
+    }
+    if (_nodes.size() >= _capacity) {
+        // Evict the LRU entry and reuse its node slot in place.
+        n = _tail;
+        const auto victim = _nodes[n].qubit;
+        _where[victim.value()] = npos;
+        ++_evictions;
+        if (evicted)
+            evicted->push_back(victim);
+        unlink(n);
+        _nodes[n].qubit = qubit;
+    } else {
+        n = static_cast<std::uint32_t>(_nodes.size());
+        _nodes.push_back({qubit, npos, npos});
+    }
+    _where[id] = n;
+    linkFront(n);
+    return false;
+}
+
+inline bool
+QubitCache::contains(circuit::QubitId qubit) const
+{
+    return qubit.value() < _where.size() &&
+           _where[qubit.value()] != npos;
+}
+
+inline void
+CacheState::missingOperandsInto(const circuit::Instruction &inst,
+                                std::vector<circuit::QubitId> &out) const
+{
+    out.clear();
+    for (const auto &q : inst.operands())
+        if (isCacheable(q) && !_cache.contains(q))
+            out.push_back(q);
+}
+
+inline void
+CacheState::accessInto(const circuit::Instruction &inst,
+                       std::vector<circuit::QubitId> &evicted)
+{
+    evicted.clear();
+    for (const auto &q : inst.operands()) {
+        if (!isCacheable(q))
+            continue;
+        ++_accesses;
+        if (_cache.touch(q, &evicted))
+            ++_hits;
+        else
+            ++_misses;
+    }
+}
+
+inline void
+CacheState::issueInto(const circuit::Instruction &inst,
+                      std::vector<circuit::QubitId> &missing,
+                      std::vector<circuit::QubitId> &evicted)
+{
+    missingOperandsInto(inst, missing);
+    accessInto(inst, evicted);
+}
 
 /** Result of a cache simulation run. */
 struct CacheSimResult

@@ -16,19 +16,22 @@ EventQueue::schedule(Tick when, Handler fn, Priority prio)
 void
 EventQueue::siftUp(std::size_t hole, Entry x)
 {
-    while (hole > 0 && before(x, _heap[(hole - 1) / 2])) {
+    while (hole > 0 && x.key < _heap[(hole - 1) / 2].key) {
         _heap[hole] = _heap[(hole - 1) / 2];
         hole = (hole - 1) / 2;
     }
     _heap[hole] = x;
 }
 
-std::uint64_t
-EventQueue::scheduleImpl(Tick when, EventFn fn, Priority prio)
+void
+EventQueue::pastPanic(Tick when) const
 {
-    if (when < _now)
-        qmh_panic("scheduling event in the past: when=", when,
-                  " now=", _now);
+    qmh_panic("scheduling event in the past: when=", when, " now=", _now);
+}
+
+std::uint64_t
+EventQueue::reserveOrder(Priority prio)
+{
     const auto biased =
         static_cast<std::uint64_t>(static_cast<int>(prio) + 128);
     if (biased > 0xff)
@@ -37,6 +40,15 @@ EventQueue::scheduleImpl(Tick when, EventFn fn, Priority prio)
     const auto seq = _next_seq++;
     if ((seq >> seq_bits) != 0)
         qmh_panic("event sequence numbers exhausted");
+    return biased << seq_bits | seq;
+}
+
+std::uint64_t
+EventQueue::scheduleImpl(Tick when, EventFn fn, Priority prio)
+{
+    if (when < _now)
+        pastPanic(when);
+    const auto order = reserveOrder(prio);
     if (fn.heapAllocated())
         ++_spilled;
     Event *e = allocEvent();
@@ -44,8 +56,8 @@ EventQueue::scheduleImpl(Tick when, EventFn fn, Priority prio)
     // New events usually dispatch after most pending ones, so the
     // sift stops after a compare or two.
     _heap.push_back({});
-    siftUp(_heap.size() - 1, {when, biased << seq_bits | seq, e});
-    return seq;
+    siftUp(_heap.size() - 1, {{when, order}, e});
+    return order & ((std::uint64_t{1} << seq_bits) - 1);
 }
 
 void
@@ -61,13 +73,13 @@ EventQueue::dispatchTop()
         std::size_t hole = 0;
         for (auto c = std::size_t{1}; c < n; c = 2 * hole + 1) {
             if (c + 1 < n)
-                c += before(_heap[c + 1], _heap[c]);
+                c += _heap[c + 1].key < _heap[c].key;
             _heap[hole] = _heap[c];
             hole = c;
         }
         siftUp(hole, last);
     }
-    _now = top.when;
+    _now = top.key.when;
     ++_executed;
     top.event->fn();
     recycle(top.event);
@@ -85,7 +97,7 @@ EventQueue::step()
 Tick
 EventQueue::run(Tick limit)
 {
-    while (!_heap.empty() && _heap.front().when <= limit)
+    while (!_heap.empty() && _heap.front().key.when <= limit)
         dispatchTop();
     if (_now < limit && limit != max_tick)
         _now = limit;

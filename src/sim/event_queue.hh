@@ -19,14 +19,22 @@
  *  - Each heap entry carries its dispatch key inline — the tick and
  *    one word packing the priority above the insertion sequence
  *    number — next to a pointer to its arena frame, so sifting
- *    compares keys without touching the frames. Simulations keep few
- *    events pending (tens in a trace run), so the log-depth heap stays
- *    a few cache lines deep.
+ *    compares keys without touching the frames. The heap holds what
+ *    the components schedule (bank service, transfers, their
+ *    callbacks), so it stays at most a few hundred entries deep.
  *
  * Dispatch order is governed solely by the strict total order
  * (tick, priority, seq). Packing bounds the inputs: priorities must
  * lie in [-128, 127] and one queue accepts at most 2^56 schedule()
  * calls over its lifetime; both are checked, and a violation panics.
+ *
+ * A caller may also keep events of its own outside the heap, in
+ * structures cheaper than a heap for its traffic (the trace engine
+ * keeps gate completions in per-latency FIFO lanes). reserveOrder()
+ * gives such an event its key on the queue's own sequence, topKey()
+ * lets the caller merge its events with the heap's, and
+ * dispatchExternal() accounts for each one it dispatches, so now()
+ * and executed() read as if every event had gone through the heap.
  */
 
 #ifndef QMH_SIM_EVENT_QUEUE_HH
@@ -60,6 +68,25 @@ enum class Priority : int {
 class EventQueue
 {
   public:
+    /**
+     * A dispatch key: the tick, then one word packing the priority
+     * above the insertion sequence. Keys of distinct events never
+     * tie; the default key sorts after every real one.
+     */
+    struct Key {
+        Tick when = max_tick;
+        std::uint64_t order = ~std::uint64_t{0};
+
+        /// "a dispatches before b"; bitwise, not short-circuit, so
+        /// the compare stays branch-free.
+        friend bool
+        operator<(const Key &a, const Key &b)
+        {
+            return (a.when < b.when) |
+                   ((a.when == b.when) & (a.order < b.order));
+        }
+    };
+
     /** Inline closure budget per event frame, bytes. */
     static constexpr std::size_t event_inline_bytes = 64;
 
@@ -118,6 +145,35 @@ class EventQueue
     /** Total number of events executed so far. */
     std::uint64_t executed() const { return _executed; }
 
+    /**
+     * Reserve the order word of one event at @p prio that the caller
+     * keeps outside the queue. It draws on the same sequence as
+     * schedule(), so the caller's event ties with the queue's at one
+     * tick exactly as if it had been scheduled here at this call.
+     */
+    std::uint64_t reserveOrder(Priority prio = Priority::Default);
+
+    /** Key of the next heap event; the default key when empty. */
+    Key
+    topKey() const
+    {
+        return _heap.empty() ? Key{} : _heap.front().key;
+    }
+
+    /**
+     * Account for one event the caller dispatches itself at @p when
+     * (>= now()): now() moves to @p when and executed() counts it.
+     * Call it before running the event, as dispatch would.
+     */
+    void
+    dispatchExternal(Tick when)
+    {
+        if (when < _now)
+            pastPanic(when);
+        _now = when;
+        ++_executed;
+    }
+
     /** Arena blocks allocated over the queue's lifetime. */
     std::size_t arenaBlocks() const { return _blocks.size(); }
 
@@ -145,21 +201,13 @@ class EventQueue
     };
 
     /// A pending event: its dispatch key inline, its frame by pointer.
+    /// The key's order word is (priority + 128) << seq_bits | seq.
     struct Entry {
-        Tick when;
-        std::uint64_t order;  ///< (priority + 128) << seq_bits | seq
+        Key key;
         Event *event;
     };
 
-    /// "a dispatches before b" under the (tick, priority, seq) order;
-    /// bitwise, not short-circuit, so the compare stays branch-free.
-    static bool
-    before(const Entry &a, const Entry &b)
-    {
-        return (a.when < b.when) |
-               ((a.when == b.when) & (a.order < b.order));
-    }
-
+    [[noreturn]] void pastPanic(Tick when) const;
     std::uint64_t scheduleImpl(Tick when, EventFn fn, Priority prio);
     /// Move @p x into the heap at or above the vacant slot @p hole.
     void siftUp(std::size_t hole, Entry x);

@@ -18,12 +18,60 @@ namespace trace {
 namespace {
 
 /**
+ * Gates computing now whose compute takes one number of ticks. Each
+ * enters at now() + duration, now() never decreases, and its order
+ * word comes from the event queue's rising sequence, so a lane is
+ * sorted by (tick, order) as it fills: a FIFO ring in place of one
+ * heap event per gate.
+ */
+struct CompletionLane
+{
+    struct Entry {
+        sim::EventQueue::Key key;
+        sched::IssueClaim claim;
+    };
+
+    std::uint32_t latency = 0;  ///< gate-steps of every gate in it
+    Tick duration = 0;
+    std::vector<Entry> ring{};  ///< power-of-two size once used
+    std::size_t head = 0;
+    std::size_t count = 0;
+
+    const Entry &front() const { return ring[head]; }
+
+    void
+    push(const Entry &entry)
+    {
+        if (count == ring.size()) {
+            // Full: unroll into a ring twice the size.
+            std::vector<Entry> grown(std::max<std::size_t>(16, 2 * count));
+            for (std::size_t i = 0; i < count; ++i)
+                grown[i] = ring[(head + i) & (ring.size() - 1)];
+            ring = std::move(grown);
+            head = 0;
+        }
+        ring[(head + count) & (ring.size() - 1)] = entry;
+        ++count;
+    }
+
+    Entry
+    pop()
+    {
+        const Entry entry = ring[head];
+        head = (head + 1) & (ring.size() - 1);
+        --count;
+        return entry;
+    }
+};
+
+/**
  * Per-run issue pipeline state. Bundling it behind one pointer keeps
- * every simulation callback down to {context, claim} — 20 bytes, well
- * inside the inline closure budgets of the event arena and the
- * component ports — and lets the per-gate scratch vectors (missing
- * operands, eviction victims, the claimed front) reuse their capacity
- * across all gates of the run.
+ * the fill callbacks handed to the banks and the channels down to
+ * {context, claim} (20 bytes, inside their inline closure budgets),
+ * and lets the per-gate scratch vectors (missing operands, eviction
+ * victims, the claimed front) reuse their capacity across all gates
+ * of the run. Gate completions never enter the event heap: they wait
+ * in completion lanes that run() merges with it.
  */
 struct EngineCtx
 {
@@ -51,6 +99,10 @@ struct EngineCtx
     std::uint32_t peak_computing = 0;
     Tick instant = 0;
 
+    // One lane per distinct gate latency of the run: at most one per
+    // LatencyModel field plus zero-step barriers, found by a scan.
+    std::vector<CompletionLane> lanes{};
+
     // Reused per-gate scratch.
     std::vector<sched::IssueClaim> front{};
     std::vector<circuit::QubitId> missing{};
@@ -66,18 +118,53 @@ struct EngineCtx
         computing += begins ? 1 : -1;
     }
 
+    CompletionLane &
+    laneFor(std::uint32_t latency)
+    {
+        for (auto &lane : lanes)
+            if (lane.latency == latency)
+                return lane;
+        auto &lane = lanes.emplace_back();
+        lane.latency = latency;
+        lane.duration = static_cast<Tick>(latency) * step1;
+        return lane;
+    }
+
     void
     beginCompute(const sched::IssueClaim &claimed)
     {
-        const Tick duration = static_cast<Tick>(claimed.latency) * step1;
-        if (duration > 0)
+        auto &lane = laneFor(claimed.latency);
+        if (lane.duration > 0)
             noteCompute(true);
-        eq.scheduleAfter(duration, [this, claimed] {
-            if (static_cast<Tick>(claimed.latency) * step1 > 0)
+        lane.push({{eq.now() + lane.duration, eq.reserveOrder()},
+                   claimed});
+    }
+
+    /**
+     * Dispatch the heap's events and the lanes' completions in one
+     * (tick, priority, seq) order until both drain.
+     */
+    void
+    run()
+    {
+        for (;;) {
+            CompletionLane *next = nullptr;
+            for (auto &lane : lanes)
+                if (lane.count > 0 &&
+                    (next == nullptr || lane.front().key < next->front().key))
+                    next = &lane;
+            if (next == nullptr || eq.topKey() < next->front().key) {
+                if (!eq.step())
+                    return;
+                continue;
+            }
+            const auto done = next->pop();
+            eq.dispatchExternal(done.key.when);
+            if (next->duration > 0)
                 noteCompute(false);
-            scheduler.complete(claimed);
+            scheduler.complete(done.claim);
             pump();
-        });
+        }
     }
 
     /** Peak gates computing at once, once the run has drained. */
@@ -90,14 +177,12 @@ struct EngineCtx
     void
     issue(const sched::IssueClaim &claimed)
     {
-        const auto &inst = program[claimed.index];
         // Residency first: the missing set is what this issue pulls
-        // through the memory banks and the transfer network.
-        // accessInto() then counts hits/misses and brings the missing
-        // qubits in, so a later gate touching an in-flight qubit hits
-        // (the fetch is already on the wire — MSHR-style merging).
-        cache.missingOperandsInto(inst, missing);
-        cache.accessInto(inst, evicted);
+        // through the memory banks and the transfer network. The same
+        // pass counts hits/misses and brings the missing qubits in,
+        // so a later gate touching an in-flight qubit hits (the fetch
+        // is already on the wire — MSHR-style merging).
+        cache.issueInto(program[claimed.index], missing, evicted);
         // Evicted qubits write back through their owning bank:
         // fire-and-forget traffic that still occupies bank time and
         // competes with fills for ports and buffer slots.
@@ -216,7 +301,7 @@ runTrace(const CompiledWorkload &compiled, const TraceConfig &config,
                   step1, per_transfer};
 
     eq.schedule(0, [&ctx] { ctx.pump(); });
-    eq.run();
+    ctx.run();
 
     if (!scheduler.finished())
         qmh_panic("trace deadlock: ",

@@ -23,7 +23,11 @@
  *    back through the same banks as fire-and-forget traffic;
  *  - once all operands are resident the gate computes for its
  *    gate-step latency at the level-1 step time, then releases its
- *    block and readies its dependents.
+ *    block and readies its dependents. Computing gates wait in one
+ *    FIFO lane per distinct latency rather than on the event heap;
+ *    the engine merges the lanes with the heap on the queue's own
+ *    (tick, priority, seq) key, so the dispatch order, and with it
+ *    every result, is the one a heap event per gate would give.
  *
  * The flat baseline is the same schedule with every qubit held at
  * level 2 (no cache, no transfers) at the level-2 step time — the QLA
@@ -33,8 +37,8 @@
  * Fig. 2 parallelism measure at tick resolution).
  *
  * Everything is deterministic: no randomness, one private EventQueue
- * per run, so identical inputs give bit-identical results on any
- * thread of a sweep.
+ * and set of lanes per run, so identical inputs give bit-identical
+ * results on any thread of a sweep.
  */
 
 #ifndef QMH_TRACE_ENGINE_HH

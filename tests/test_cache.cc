@@ -362,6 +362,24 @@ TEST(CacheState, MissingOperandsPredictsAccessOutcome)
     EXPECT_EQ(missing, std::vector<QubitId>{QubitId(0)});
 }
 
+TEST(CacheState, IssueReadsMissingSetBeforeAnyTouch)
+{
+    // Capacity 1 with qubit 1 resident: touching qubit 0 evicts 1,
+    // touching 1 evicts 0 again. issueInto()'s missing set is the
+    // residency before the issue ({0}), though both touches miss.
+    Program p("i", 2);
+    p.cnot(QubitId(0), QubitId(1));
+    p.x(QubitId(1));
+    CacheState state(1, {});
+    std::vector<QubitId> missing, evicted;
+    state.accessInto(p.instructions().back(), evicted);
+    state.issueInto(p.instructions().front(), missing, evicted);
+    EXPECT_EQ(missing, std::vector<QubitId>{QubitId(0)});
+    EXPECT_EQ(evicted, (std::vector<QubitId>{QubitId(1), QubitId(0)}));
+    EXPECT_EQ(state.misses(), 3u);
+    EXPECT_TRUE(state.resident(QubitId(1)));
+}
+
 TEST(CacheState, MaskedQubitsNeverMissOrOccupy)
 {
     Program p("mask", 2);

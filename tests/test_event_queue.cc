@@ -323,6 +323,88 @@ TEST(EventQueue, StepExecutesOneEvent)
     EXPECT_EQ(eq.executed(), 2u);
 }
 
+/**
+ * Run @p eq and the caller-kept events @p external (labels by key)
+ * in one merged order, the way an engine with its own event lanes
+ * drives the queue; each external dispatch appends its label.
+ */
+void
+runMerged(EventQueue &eq,
+          std::vector<std::pair<EventQueue::Key, int>> external,
+          std::vector<int> &order)
+{
+    std::sort(external.begin(), external.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+    std::size_t next = 0;
+    for (;;) {
+        if (next < external.size() && external[next].first < eq.topKey()) {
+            eq.dispatchExternal(external[next].first.when);
+            order.push_back(external[next].second);
+            ++next;
+        } else if (!eq.step()) {
+            break;
+        }
+    }
+    EXPECT_EQ(next, external.size());
+}
+
+TEST(EventQueue, ExternalEventsTieWithHeapEventsInSeqOrder)
+{
+    // Reserved order words draw on the queue's own sequence, so an
+    // external event and a heap event at one tick dispatch in the
+    // order they were scheduled, priority first.
+    EventQueue eq;
+    std::vector<int> order;
+    std::vector<std::pair<EventQueue::Key, int>> external;
+    EXPECT_FALSE(EventQueue::Key{} < eq.topKey());
+    eq.schedule(5, [&] { order.push_back(1); });
+    external.push_back({{5, eq.reserveOrder()}, 2});
+    eq.schedule(5, [&] { order.push_back(3); });
+    external.push_back({{5, eq.reserveOrder()}, 4});
+    external.push_back({{5, eq.reserveOrder(Priority::Stat)}, 0});
+    eq.schedule(5, [&] { order.push_back(5); }, Priority::Late);
+    external.push_back({{3, eq.reserveOrder(Priority::Late)}, -1});
+    eq.schedule(7, [&] {
+        order.push_back(6);
+        // A heap event scheduled from a handler after the last
+        // reservation still sorts after an earlier-reserved key.
+        eq.scheduleAfter(0, [&] { order.push_back(8); });
+    });
+    external.push_back({{7, eq.reserveOrder()}, 7});
+    runMerged(eq, external, order);
+    EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4, 5, 6, 7, 8}));
+    EXPECT_EQ(eq.now(), 7u);
+}
+
+TEST(EventQueue, ExecutedCountsExternalAndHeapDispatches)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(2, [&] { order.push_back(1); });
+    const auto reserved = eq.reserveOrder();
+    // schedule() returns the low (sequence) bits of the same word.
+    EXPECT_EQ(eq.schedule(4, [&] { order.push_back(3); }),
+              (reserved & ((std::uint64_t{1} << 56) - 1)) + 1);
+    runMerged(eq, {{{2, reserved}, 2}, {{9, eq.reserveOrder()}, 4}},
+              order);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_EQ(eq.executed(), 4u);
+    EXPECT_EQ(eq.now(), 9u);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueueDeath, PastSchedulingPanicsAfterExternalDispatch)
+{
+    // An external dispatch moves now() like a heap dispatch: the
+    // strict past stays closed to both kinds, the present open.
+    EventQueue eq;
+    eq.dispatchExternal(10);
+    EXPECT_EQ(eq.now(), 10u);
+    eq.schedule(10, [] {});
+    EXPECT_DEATH(eq.schedule(9, [] {}), "past");
+    EXPECT_DEATH(eq.dispatchExternal(9), "past");
+}
+
 TEST(EventQueueDeath, PastSchedulingPanics)
 {
     EventQueue eq;

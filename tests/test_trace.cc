@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
+#include <type_traits>
 
 #include "api/experiment.hh"
 #include "api/grid.hh"
@@ -511,6 +513,130 @@ TEST(TraceGolden, MidSizeRunReproducesCheckedInRowExactly)
         "0.0007917517385228855,12,0.012668027816366167,1354,"
         "12587370737594032228\n";
     EXPECT_EQ(csvOf(table), golden);
+}
+
+/** FNV-1a 64 over every field of @p r, doubles by bit pattern. */
+std::uint64_t
+mixResult(std::uint64_t hash, const TraceResult &r)
+{
+    const auto mix = [&hash](auto value) {
+        std::uint64_t bits = 0;
+        if constexpr (std::is_floating_point_v<decltype(value)>)
+            bits = std::bit_cast<std::uint64_t>(value);
+        else
+            bits = static_cast<std::uint64_t>(value);
+        for (int i = 0; i < 8; ++i) {
+            hash ^= (bits >> (8 * i)) & 0xff;
+            hash *= 1099511628211ull;
+        }
+    };
+    mix(r.makespan_s);
+    mix(r.baseline_s);
+    mix(r.speedup);
+    mix(r.instructions);
+    mix(r.accesses);
+    mix(r.hits);
+    mix(r.misses);
+    mix(r.evictions);
+    mix(r.hit_rate);
+    mix(r.transfer_utilization);
+    mix(r.mem_requests);
+    mix(r.writebacks);
+    mix(r.bank_conflicts);
+    mix(r.mem_stall_ticks);
+    mix(r.mem_peak_queue);
+    mix(r.mem_mean_queue);
+    mix(r.mem_utilization);
+    mix(r.blocks_used);
+    mix(r.block_utilization);
+    mix(r.peak_in_flight);
+    mix(r.mean_in_flight);
+    mix(r.events_executed);
+    return hash;
+}
+
+TEST(TraceGolden, GridDigestIsPinned)
+{
+    // Every field of every run over a grid of circuits, capacities
+    // (under pressure to past the footprint), channel, bank and block
+    // counts, hashed into one pinned value. Kernel changes that must
+    // keep rows byte-identical (event ordering, completion lanes, the
+    // cache pass) fail here on any drift, eviction paths included.
+    const auto params = iontrap::Params::future();
+    std::uint64_t hash = 1469598103934665603ull;
+    std::size_t runs = 0, evicting = 0, contended = 0;
+    const auto sweep = [&](const circuit::Workload &workload,
+                           const sched::LatencyModel &latency,
+                           std::vector<double> capacity_x,
+                           std::vector<unsigned> transfers,
+                           std::vector<unsigned> banks,
+                           std::vector<unsigned> blocks) {
+        const CompiledWorkload compiled(workload);
+        const auto pe = std::max<unsigned>(workload.pe_qubits, 4);
+        for (const auto x : capacity_x)
+            for (const auto t : transfers)
+                for (const auto b : banks)
+                    for (const auto k : blocks) {
+                        TraceConfig config;
+                        config.capacity = std::max<std::size_t>(
+                            1, static_cast<std::size_t>(x * pe));
+                        config.transfers = t;
+                        config.mem_banks = b;
+                        config.blocks = k;
+                        config.latency = latency;
+                        const auto r = runTrace(compiled, config, params);
+                        hash = mixResult(hash, r);
+                        ++runs;
+                        evicting += r.evictions > 0;
+                        contended += r.bank_conflicts > 0;
+                    }
+    };
+    const std::vector<double> all_x = {0.25, 0.5, 1, 2};
+    const std::vector<unsigned> all_t = {1, 2, 5};
+    const std::vector<unsigned> all_b = {1, 2, 8};
+    const std::vector<unsigned> all_k = {4, 16, 49,
+                                         sched::unlimited_blocks};
+    std::vector<circuit::Workload> workloads;
+    for (const char *text : {"workload=random n=32 gates=600",
+                             "workload=draper n=32",
+                             "workload=qft n=24"}) {
+        Random rng(5);
+        workloads.push_back(api::buildWorkload(
+            api::parseSpec(std::string("experiment=trace ") + text).spec,
+            rng));
+        sweep(workloads.back(), {}, all_x, all_t, all_b, all_k);
+    }
+
+    // Barriers (zero-duration gates) interleaved with real ones.
+    const auto parsed = circuit::parseText(
+        "name barriers\nqubits 6\nh q0\ncnot q0 q1\nbarrier\n"
+        "toffoli q1 q2 q3\nx q4\nbarrier\nbarrier\nswap q3 q4\n"
+        "cphase 3 q0 q2\nbarrier\nt q1\ncnot q5 q0\nbarrier\n"
+        "toffoli q0 q4 q5\nh q2\n");
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    workloads.push_back({parsed.program, {}, 4});
+    sweep(workloads.back(), {}, all_x, all_t, all_b, all_k);
+
+    // Two equal fields, and a Toffoli past the flat baseline's
+    // completion wheel; then zero-step CNOTs.
+    sched::LatencyModel odd;
+    odd.single = 2;
+    odd.cnot = 3;
+    odd.cphase = 3;
+    odd.swap = 5;
+    odd.toffoli = 4096;
+    sched::LatencyModel zero_cnot;
+    zero_cnot.cnot = 0;
+    for (const auto &latency : {odd, zero_cnot})
+        for (const auto &workload : workloads)
+            sweep(workload, latency, {0.25, 1}, {1, 5}, {1, 8},
+                  {4, sched::unlimited_blocks});
+
+    EXPECT_EQ(runs, 4 * 144u + 2 * 4 * 16u);
+    // The grid reaches the eviction and bank-contention paths.
+    EXPECT_GT(evicting, runs / 4);
+    EXPECT_GT(contended, runs / 4);
+    EXPECT_EQ(hash, 0x26bdda4d68eda79dull) << std::hex << hash;
 }
 
 TEST(TraceSweep, MemoryAxesAreBitIdenticalAcrossThreadCounts)
