@@ -99,8 +99,7 @@ main(int argc, char **argv)
                 dag.depth(), dag.maxParallelism());
 
     const sched::LatencyModel lat;
-    const auto schedule =
-        sched::roundSchedule(parsed.program, dag, lat, 16);
+    const auto schedule = sched::roundSchedule(parsed.program, lat, 16);
     std::printf("on 16 compute blocks: %llu gate-steps, utilization "
                 "%.0f%%\n",
                 static_cast<unsigned long long>(schedule.makespan),

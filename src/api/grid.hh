@@ -2,10 +2,9 @@
  * @file
  * Generic design-space grid over ExperimentSpecs.
  *
- * Where sweep::HierarchyGrid enumerates one simulator's config
- * struct, SpecGrid expands axis overrides on *any* spec: an axis is a
- * spec key plus the textual values to sweep it over, applied through
- * the shared key=value machinery. The cross product preserves axis
+ * SpecGrid expands axis overrides on *any* spec: an axis is a spec
+ * key plus the textual values to sweep it over, applied through the
+ * shared key=value machinery. The cross product preserves axis
  * declaration order (first axis slowest, last fastest), so point
  * indices — and therefore the per-point RNG seeds of runSpecSweep —
  * are a pure function of the grid.

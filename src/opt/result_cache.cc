@@ -1,6 +1,5 @@
 #include "result_cache.hh"
 
-#include <algorithm>
 #include <filesystem>
 
 #include "common/logging.hh"
@@ -271,53 +270,6 @@ ResultCache::insert(const std::string &spec_key, std::uint64_t seed,
         return false;
     upsert(spec_key, seed, std::move(row));
     return true;
-}
-
-std::vector<std::string>
-ResultCache::sortedKeys() const
-{
-    std::vector<std::string> keys;
-    keys.reserve(_entries.size());
-    // qmh-lint: allow(ordered-iteration): order-erasing walk — the keys are sorted below before anything iterates them
-    for (const auto &kv : _entries)
-        keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-    return keys;
-}
-
-std::string
-ResultCache::compact()
-{
-    if (!_backed)
-        return "ResultCache: compact() needs an open backing file";
-
-    // The append handle may hold buffered state on some platforms;
-    // close it so the rename below swaps in a complete file.
-    if (_append.is_open())
-        _append.close();
-
-    const std::string tmp = _path + ".compact.tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out)
-            return "ResultCache: cannot write '" + tmp + "'";
-        out << headerLine(_base_seed) << '\n';
-        for (const auto &key : sortedKeys())
-            out << entryLine(key, _entries.at(key)) << '\n';
-        out.flush();
-        if (!out)
-            return "ResultCache: write to '" + tmp + "' failed";
-    }
-
-    std::error_code ec;
-    std::filesystem::rename(tmp, _path, ec);
-    if (ec) {
-        std::filesystem::remove(tmp, ec);
-        return "ResultCache: cannot replace '" + _path +
-               "' with its compacted form";
-    }
-    _needs_header = false;
-    return "";
 }
 
 void

@@ -100,26 +100,6 @@ class ResultCache
     void upsert(const std::string &spec_key, std::uint64_t seed,
                 std::vector<sweep::Cell> row);
 
-    /**
-     * Ordered snapshot of every memoized spec key. The entry map is
-     * unordered (lookup is the hot path); any walk that can reach an
-     * output channel goes through this sorted copy so hash-map layout
-     * never leaks into bytes (the ordered-iteration lint contract).
-     */
-    std::vector<std::string> sortedKeys() const;
-
-    /**
-     * Rewrite the backing file in one pass: header, then one line per
-     * live entry in sorted key order. Drops the superseded lines that
-     * upsert()'s append-only repair leaves behind, so equal cache
-     * contents produce byte-identical files no matter what
-     * insert/upsert history built them. The rewrite goes through a
-     * temp file and an atomic rename — a crash mid-compact leaves the
-     * original file intact. Returns "" on success, else a diagnostic
-     * (unbacked cache, unwritable temp file, failed rename).
-     */
-    std::string compact();
-
   private:
     std::unordered_map<std::string, CachedResult> _entries;
     std::string _path;

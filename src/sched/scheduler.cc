@@ -330,20 +330,6 @@ IncrementalScheduler::freeBlock(std::uint32_t block)
     ++_free_count;
 }
 
-std::optional<IssueClaim>
-IncrementalScheduler::claim()
-{
-    if (_ready.empty())
-        return std::nullopt;
-    if (_capped && _free_count == 0)
-        return std::nullopt;
-    const auto index = popReady();
-    ++_claimed;
-    ++_in_flight;
-    _peak_in_flight = std::max(_peak_in_flight, _in_flight);
-    return IssueClaim{index, allocBlock(), _tables->latency[index]};
-}
-
 std::uint32_t
 IncrementalScheduler::claimBatch(std::vector<IssueClaim> &out)
 {
@@ -531,9 +517,8 @@ listSchedule(const circuit::Program &program, const LatencyModel &latency,
 }
 
 ScheduleResult
-roundSchedule(const circuit::Program &program,
-              const circuit::DependencyGraph &dag,
-              const LatencyModel &latency, unsigned blocks)
+roundSchedule(const circuit::Program &program, const LatencyModel &latency,
+              unsigned blocks)
 {
     const auto &insts = program.instructions();
     const auto m = static_cast<std::uint32_t>(insts.size());
@@ -576,7 +561,6 @@ roundSchedule(const circuit::Program &program,
                 qubit_round[q.value()] = current;
         }
     }
-    (void)dag;
 
     const bool capped = blocks != unlimited_blocks;
     std::uint64_t now = 0;
@@ -623,14 +607,6 @@ roundSchedule(const circuit::Program &program,
     result.makespan = now;
     result.blocks_used = capped ? blocks : widest_round;
     return result;
-}
-
-ScheduleResult
-roundSchedule(const circuit::Program &program, const LatencyModel &latency,
-              unsigned blocks)
-{
-    circuit::DependencyGraph dag(program);
-    return roundSchedule(program, dag, latency, blocks);
 }
 
 } // namespace sched

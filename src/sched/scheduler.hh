@@ -14,10 +14,14 @@
  *    completion clock and returns the batch ScheduleResult;
  *  - listScheduleMakespan() runs the same decisions but keeps only
  *    the makespan (the trace engine's flat baseline);
- *  - IncrementalScheduler exposes the same claim/complete decisions
- *    one instruction at a time, so an external event loop (the trace
- *    engine's discrete-event pipeline, trace/engine.hh) can interleave
- *    issue with cache residency and transfer-network latency.
+ *  - IncrementalScheduler exposes the same decisions as
+ *    claimBatch()/complete() calls, one ready front at a time, so an
+ *    external event loop (the trace engine's discrete-event pipeline,
+ *    trace/engine.hh) can interleave issue with cache residency and
+ *    transfer-network latency.
+ *
+ * roundSchedule() is a separate, round-synchronous policy (the paper's
+ * QLA baseline); it needs no tables.
  *
  * Produces everything the evaluation needs: makespan, per-gate start
  * times and block assignments, the gates-in-flight profile (paper
@@ -28,7 +32,6 @@
 #define QMH_SCHED_SCHEDULER_HH
 
 #include <cstdint>
-#include <optional>
 #include <queue>
 #include <vector>
 
@@ -128,7 +131,6 @@ struct ScheduleResult
                                        const ScheduleTables &,
                                        unsigned);
     friend ScheduleResult roundSchedule(const circuit::Program &,
-                                        const circuit::DependencyGraph &,
                                         const LatencyModel &, unsigned);
     std::vector<std::uint32_t> _latency;  // per-gate, for profiles
 };
@@ -195,13 +197,14 @@ struct IssueClaim
 
 /**
  * The list scheduler's issue policy in incremental form. The caller
- * owns time: claim() hands out the highest-priority ready instruction
- * while a block is free, complete() retires one and readies its
- * dependents. Driving claim-all / advance-to-next-completion /
- * complete-in-(finish, index)-order reproduces listSchedule() exactly
- * (the batch function is implemented on this class); an event-driven
- * caller may instead hold a claim through arbitrary stalls (operand
- * fetch, transfer-network queueing) before completing it.
+ * owns time: claimBatch() hands out the ready instructions, highest
+ * priority first, while blocks are free; complete() retires one and
+ * readies its dependents. Driving claim-front /
+ * advance-to-next-completion / complete-in-(finish, index)-order
+ * reproduces listSchedule() exactly (the batch function is
+ * implemented on this class); an event-driven caller may instead hold
+ * a claim through arbitrary stalls (operand fetch, transfer-network
+ * queueing) before completing it.
  */
 class IncrementalScheduler
 {
@@ -214,21 +217,11 @@ class IncrementalScheduler
                          const ScheduleTables &tables, unsigned blocks);
 
     /**
-     * Claim the highest-priority ready instruction, allocating a
-     * block; nullopt when nothing is ready or (capped mode) every
-     * block is busy. Loop until nullopt to issue everything currently
-     * issuable.
-     */
-    std::optional<IssueClaim> claim();
-
-    /**
      * Claim every currently issuable instruction — the whole ready
      * front, highest priority first, program order within a priority,
-     * bounded by free blocks in capped mode — appending to @p out.
-     * Exactly equivalent to looping claim() until nullopt (claims
-     * never ready new instructions; only complete() does), but issues
-     * whole fronts without per-gate heap churn. Returns the number
-     * claimed.
+     * bounded by free blocks in capped mode — appending to @p out,
+     * each with the lowest free block. Claims never ready new
+     * instructions; only complete() does. Returns the number claimed.
      */
     std::uint32_t claimBatch(std::vector<IssueClaim> &out);
 
@@ -351,12 +344,6 @@ std::uint64_t listScheduleMakespan(const circuit::DependencyGraph &dag,
  * listSchedule() is the more aggressive overlapped mode used for
  * ablation studies.
  */
-ScheduleResult roundSchedule(const circuit::Program &program,
-                             const circuit::DependencyGraph &dag,
-                             const LatencyModel &latency,
-                             unsigned blocks);
-
-/** Convenience overload building the DAG internally. */
 ScheduleResult roundSchedule(const circuit::Program &program,
                              const LatencyModel &latency,
                              unsigned blocks);

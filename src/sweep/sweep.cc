@@ -1,9 +1,5 @@
 #include "sweep.hh"
 
-#include <algorithm>
-
-#include "common/table.hh"
-
 namespace qmh {
 namespace sweep {
 
@@ -33,136 +29,6 @@ keySeed(std::uint64_t base_seed, std::string_view key)
         hash *= 0x100000001B3ULL;
     }
     return pointSeed(base_seed, hash);
-}
-
-std::vector<cqla::HierarchySimConfig>
-HierarchyGrid::expand() const
-{
-    // Every axis defaults to the base config's single value.
-    const std::vector<ecc::CodeKind> axis_codes =
-        codes.empty() ? std::vector<ecc::CodeKind>{base.code} : codes;
-    const std::vector<int> axis_bits =
-        n_bits.empty() ? std::vector<int>{base.n_bits} : n_bits;
-    const std::vector<unsigned> axis_transfers =
-        parallel_transfers.empty()
-            ? std::vector<unsigned>{base.parallel_transfers}
-            : parallel_transfers;
-    const std::vector<unsigned> axis_blocks =
-        blocks.empty() ? std::vector<unsigned>{base.blocks} : blocks;
-    const std::vector<double> axis_fractions =
-        level1_fractions.empty()
-            ? std::vector<double>{base.level1_fraction}
-            : level1_fractions;
-
-    std::vector<cqla::HierarchySimConfig> configs;
-    configs.reserve(axis_codes.size() * axis_bits.size() *
-                    axis_transfers.size() * axis_blocks.size() *
-                    axis_fractions.size());
-    for (const auto code : axis_codes)
-        for (const auto bits : axis_bits)
-            for (const auto transfers : axis_transfers)
-                for (const auto block_count : axis_blocks)
-                    for (const auto fraction : axis_fractions) {
-                        cqla::HierarchySimConfig config = base;
-                        config.code = code;
-                        config.n_bits = bits;
-                        config.parallel_transfers = transfers;
-                        config.blocks = block_count;
-                        config.level1_fraction = fraction;
-                        configs.push_back(config);
-                    }
-    return configs;
-}
-
-std::vector<HierarchySweepPoint>
-runHierarchySweep(SweepRunner &runner,
-                  const std::vector<cqla::HierarchySimConfig> &configs,
-                  const iontrap::Params &params)
-{
-    const std::uint64_t base_seed = runner.options().base_seed;
-    return runner.map(
-        configs.size(),
-        [&configs, &params, base_seed](std::size_t i, Random &) {
-            HierarchySweepPoint point;
-            point.config = configs[i];
-            point.seed = pointSeed(base_seed, i);
-            point.result = cqla::runHierarchySim(point.config, params);
-            return point;
-        });
-}
-
-std::vector<HierarchySweepPoint>
-runHierarchySweep(const std::vector<cqla::HierarchySimConfig> &configs,
-                  const iontrap::Params &params,
-                  const SweepOptions &options)
-{
-    SweepRunner runner(options);
-    return runHierarchySweep(runner, configs, params);
-}
-
-ResultTable
-hierarchySweepTable(const std::vector<HierarchySweepPoint> &points)
-{
-    ResultTable table({"code", "n_bits", "channels", "blocks",
-                       "level1_fraction", "seed", "makespan_s",
-                       "baseline_s", "makespan_speedup",
-                       "mean_adder_speedup", "level1_adds",
-                       "level2_adds", "transfer_utilization",
-                       "events_executed"});
-    for (const auto &point : points) {
-        const auto &config = point.config;
-        const auto &result = point.result;
-        table.addRow({ecc::Code::byKind(config.code).name(),
-                      config.n_bits,
-                      config.parallel_transfers,
-                      config.blocks,
-                      config.level1_fraction,
-                      point.seed,
-                      result.makespan_s,
-                      result.baseline_s,
-                      result.makespan_speedup,
-                      result.mean_adder_speedup,
-                      result.level1_adds,
-                      result.level2_adds,
-                      result.transfer_utilization,
-                      result.events_executed});
-    }
-    return table;
-}
-
-void
-printTopBySpeedup(std::ostream &os,
-                  const std::vector<HierarchySweepPoint> &points,
-                  std::size_t top_n)
-{
-    auto ranked = points;
-    std::sort(ranked.begin(), ranked.end(),
-              [](const HierarchySweepPoint &a,
-                 const HierarchySweepPoint &b) {
-                  return a.result.makespan_speedup >
-                         b.result.makespan_speedup;
-              });
-
-    AsciiTable t;
-    t.setHeader({"Rank", "Code", "Size", "Xfer", "Blocks", "f(L1)",
-                 "Makespan SpUp", "Adder SpUp", "Xfer Util"});
-    t.setAlign(1, Align::Left);
-    const std::size_t show = std::min(top_n, ranked.size());
-    for (std::size_t i = 0; i < show; ++i) {
-        const auto &p = ranked[i];
-        t.addRow({std::to_string(i + 1),
-                  p.config.code == ecc::CodeKind::Steane713
-                      ? "Steane"
-                      : "Bacon-Shor",
-                  std::to_string(p.config.n_bits),
-                  std::to_string(p.config.parallel_transfers),
-                  std::to_string(p.config.blocks),
-                  AsciiTable::num(p.config.level1_fraction, 2),
-                  AsciiTable::num(p.result.makespan_speedup, 2),
-                  AsciiTable::num(p.result.mean_adder_speedup, 2),
-                  AsciiTable::num(p.result.transfer_utilization, 2)});
-    }
-    t.print(os);
 }
 
 } // namespace sweep

@@ -1,33 +1,25 @@
 /**
  * @file
- * Multithreaded parameter-sweep engine.
+ * Multithreaded parameter-sweep engine: the worker pool api::Session
+ * runs its jobs on, and the per-point seeds.
  *
- * Hierarchy simulations are embarrassingly parallel: every point owns
- * its EventQueue (there is no global singleton by design), so a grid
- * of HierarchySimConfig / cache-size / bandwidth points fans across
- * cores with no shared mutable state. SweepRunner::map evaluates
- * `fn(index, rng)` for every point of a grid and stores the result at
- * its index, so the output is independent of task completion order.
+ * Every sweep point owns its simulator state (there is no global
+ * EventQueue by design), so points fan across cores with no shared
+ * mutable state.
  *
  * Determinism contract: each point receives its own qmh::Random seeded
- * from (base_seed, index) via pointSeed(). The result vector is
- * bit-identical whether the sweep runs on 1 thread or N threads.
+ * from (base_seed, index) via pointSeed(), or from (base_seed, key)
+ * via keySeed(), never from scheduling. A sweep's rows are
+ * bit-identical whether it runs on 1 thread or N threads.
  */
 
 #ifndef QMH_SWEEP_SWEEP_HH
 #define QMH_SWEEP_SWEEP_HH
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string_view>
-#include <type_traits>
-#include <vector>
 
-#include "common/random.hh"
-#include "cqla/hierarchy_sim.hh"
-#include "iontrap/params.hh"
-#include "sweep/emit.hh"
 #include "sweep/thread_pool.hh"
 
 namespace qmh {
@@ -59,7 +51,7 @@ std::uint64_t pointSeed(std::uint64_t base_seed, std::size_t index);
  */
 std::uint64_t keySeed(std::uint64_t base_seed, std::string_view key);
 
-/** Fans grid points across a worker pool; results land by index. */
+/** Sweep options plus the worker pool that runs the points. */
 class SweepRunner
 {
   public:
@@ -80,106 +72,10 @@ class SweepRunner
      */
     ThreadPool &pool() { return _pool; }
 
-    /**
-     * Evaluate @p fn(index, rng) for index in [0, n_points) and return
-     * the results in index order. @p fn must be callable concurrently
-     * from multiple threads and must not touch shared mutable state;
-     * its result type must be default-constructible.
-     *
-     * Workers claim indices dynamically (atomic counter), so load
-     * imbalance across points does not serialize the sweep.
-     */
-    template <typename Fn>
-    auto
-    map(std::size_t n_points, Fn &&fn)
-        -> std::vector<std::invoke_result_t<Fn &, std::size_t, Random &>>
-    {
-        using Result = std::invoke_result_t<Fn &, std::size_t, Random &>;
-        std::vector<Result> results(n_points);
-        if (n_points == 0)
-            return results;
-
-        std::atomic<std::size_t> next_index{0};
-        const std::uint64_t base_seed = _options.base_seed;
-        auto worker = [&]() {
-            for (;;) {
-                const std::size_t i =
-                    next_index.fetch_add(1, std::memory_order_relaxed);
-                if (i >= n_points)
-                    return;
-                Random rng(pointSeed(base_seed, i));
-                results[i] = fn(i, rng);
-            }
-        };
-
-        const unsigned n_workers = _pool.threadCount();
-        for (unsigned t = 0; t < n_workers; ++t)
-            _pool.submit(worker);
-        _pool.wait();
-        return results;
-    }
-
   private:
     SweepOptions _options;
     ThreadPool _pool;
 };
-
-/**
- * Cartesian grid of hierarchy-simulation configurations. Empty axes
- * fall back to the base config's value for that axis.
- */
-struct HierarchyGrid
-{
-    cqla::HierarchySimConfig base;
-    std::vector<ecc::CodeKind> codes;
-    std::vector<int> n_bits;
-    std::vector<unsigned> parallel_transfers;
-    std::vector<unsigned> blocks;
-    std::vector<double> level1_fractions;
-
-    /** Expand the cross product into concrete configs. */
-    std::vector<cqla::HierarchySimConfig> expand() const;
-};
-
-/** One evaluated hierarchy point: config, derived seed, outcome. */
-struct HierarchySweepPoint
-{
-    cqla::HierarchySimConfig config;
-    std::uint64_t seed = 0;
-    cqla::HierarchySimResult result;
-};
-
-/**
- * Run every config through runHierarchySim across the pool of
- * @p runner. Results are index-aligned with @p configs and
- * bit-identical for a fixed base seed regardless of thread count.
- */
-std::vector<HierarchySweepPoint>
-runHierarchySweep(SweepRunner &runner,
-                  const std::vector<cqla::HierarchySimConfig> &configs,
-                  const iontrap::Params &params);
-
-/** Convenience overload: builds a runner from @p options. */
-std::vector<HierarchySweepPoint>
-runHierarchySweep(const std::vector<cqla::HierarchySimConfig> &configs,
-                  const iontrap::Params &params,
-                  const SweepOptions &options = {});
-
-/**
- * Flatten sweep points into the canonical result table (one row per
- * point, config columns then outcome columns) for CSV/JSON emission.
- */
-ResultTable
-hierarchySweepTable(const std::vector<HierarchySweepPoint> &points);
-
-/**
- * Print the @p top_n configurations ranked by makespan speedup as a
- * paper-style ASCII table (shared by the table-5 bench and the sweep
- * explorer so their reports cannot drift apart).
- */
-void printTopBySpeedup(std::ostream &os,
-                       const std::vector<HierarchySweepPoint> &points,
-                       std::size_t top_n);
 
 } // namespace sweep
 } // namespace qmh

@@ -345,6 +345,32 @@ TEST(SpecSweep, CacheGridBitIdenticalAcrossThreadCounts)
     EXPECT_NE(csvOf(serial), csvOf(other));
 }
 
+TEST(Sweep, HierarchySweepBitIdenticalAcrossThreadCounts)
+{
+    // The Table-5 hierarchy pin: every row of a hierarchy grid must
+    // come out bit-identical on 1 vs N threads.
+    SpecGrid grid;
+    grid.base = parseSpec("experiment=hierarchy adders=40").spec;
+    grid.axis("code", {"steane", "bacon-shor"});
+    grid.axis("n", {"64", "128"});
+    grid.axis("transfers", {"5", "10"});
+    grid.axis("blocks", {"25", "49"});
+    // 1/3 and 2/3 in shortest round-trip form.
+    grid.axis("l1_fraction", {"0.3333333333333333", "0.6666666666666666"});
+    const auto specs = grid.expand();
+    ASSERT_EQ(specs.size(), 32u);
+
+    const auto serial =
+        runSpecSweep(specs, {.threads = 1, .base_seed = 99});
+    ASSERT_EQ(serial.rows(), specs.size());
+    for (const unsigned threads : {2u, 4u, 8u}) {
+        const auto parallel = runSpecSweep(
+            specs, {.threads = threads, .base_seed = 99});
+        EXPECT_EQ(csvOf(serial), csvOf(parallel))
+            << threads << " threads diverged";
+    }
+}
+
 TEST(SpecSweep, TableShapeAndSeeds)
 {
     SpecGrid grid;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cqla/area_model.hh"
 #include "cqla/hierarchy.hh"
 #include "cqla/perf_model.hh"
@@ -44,6 +46,14 @@ struct AreaRow
     double paper_steane;
     double paper_bacon_shor;
 };
+
+// Name each case by its table row: gtest's default rendering of these
+// structs is their raw bytes, which CTest would put in the test name.
+void
+PrintTo(const AreaRow &row, std::ostream *os)
+{
+    *os << "n" << row.n << "_blocks" << row.blocks;
+}
 
 class Table4Area : public ::testing::TestWithParam<AreaRow>
 {};
@@ -103,6 +113,12 @@ struct SpeedRow
     double paper_steane;
     double paper_bacon_shor;
 };
+
+void
+PrintTo(const SpeedRow &row, std::ostream *os)
+{
+    *os << "n" << row.n << "_blocks" << row.blocks;
+}
 
 class Table4Speedup : public ::testing::TestWithParam<SpeedRow>
 {};
@@ -207,6 +223,13 @@ struct HierRow
     unsigned channels;
     double paper_s1;
 };
+
+void
+PrintTo(const HierRow &row, std::ostream *os)
+{
+    *os << (row.code == ecc::CodeKind::Steane713 ? "steane" : "bacon_shor")
+        << "_n" << row.n << "_channels" << row.channels;
+}
 
 class Table5Level1 : public ::testing::TestWithParam<HierRow>
 {};

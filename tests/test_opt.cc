@@ -32,15 +32,6 @@ tempPath(const char *name)
     return path;
 }
 
-std::string
-fileBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
-
 TEST(SpecSeed, IsAFunctionOfTheSpecAlone)
 {
     const auto seed = specSeed(42, "experiment=cache n=64");
@@ -195,74 +186,6 @@ TEST(ResultCache, StaleEntryIsRepairedNotShadowedForever)
         const auto outcome = runSpecSweepCached(runner, specs, &cache);
         EXPECT_EQ(outcome.simulated, 0u);
     }
-}
-
-TEST(ResultCache, SortedKeysAreAnOrderedSnapshot)
-{
-    ResultCache cache;
-    cache.insert("m", 1, {sweep::Cell(1.0)});
-    cache.insert("a", 2, {sweep::Cell(2.0)});
-    cache.insert("z", 3, {sweep::Cell(3.0)});
-    cache.insert("b", 4, {sweep::Cell(4.0)});
-    const std::vector<std::string> expect = {"a", "b", "m", "z"};
-    EXPECT_EQ(cache.sortedKeys(), expect);
-}
-
-TEST(ResultCache, CompactIsByteIdenticalAcrossInsertHistories)
-{
-    // Determinism regression: the persisted cache must be a function
-    // of its *contents*, never of hash-map layout or insertion
-    // history. Build the same cache two ways — different insert
-    // orders, one with a superseded upsert line — compact both, and
-    // require the files to match byte for byte.
-    const auto path_a = tempPath("opt_cache_compact_a.jsonl");
-    const auto path_b = tempPath("opt_cache_compact_b.jsonl");
-    const std::vector<std::string> keys = {
-        "experiment=cache n=64", "experiment=cache n=128",
-        "experiment=cache n=256", "experiment=cache n=512"};
-
-    ResultCache a;
-    ASSERT_EQ(a.open(path_a, 42), "");
-    for (const auto &key : keys)
-        a.insert(key, specSeed(42, key), {sweep::Cell(0.5)});
-    ASSERT_EQ(a.compact(), "");
-
-    ResultCache b;
-    ASSERT_EQ(b.open(path_b, 42), "");
-    for (auto it = keys.rbegin(); it != keys.rend(); ++it)
-        b.insert(*it, specSeed(42, *it), {sweep::Cell("stale")});
-    // Repair every entry; the appended duplicates must vanish.
-    for (const auto &key : keys)
-        b.upsert(key, specSeed(42, key), {sweep::Cell(0.5)});
-    ASSERT_EQ(b.compact(), "");
-
-    const auto bytes = fileBytes(path_a);
-    EXPECT_FALSE(bytes.empty());
-    EXPECT_EQ(bytes, fileBytes(path_b));
-
-    // The compacted file is still a valid cache and still appendable.
-    ResultCache warm;
-    ASSERT_EQ(warm.open(path_a, 42), "");
-    EXPECT_EQ(warm.size(), keys.size());
-    for (const auto &key : keys) {
-        const auto *hit = warm.lookup(key);
-        ASSERT_NE(hit, nullptr);
-        EXPECT_EQ(hit->seed, specSeed(42, key));
-        EXPECT_EQ(hit->row.at(0).toString(), "0.5");
-    }
-    warm.insert("experiment=cache n=1024",
-                specSeed(42, "experiment=cache n=1024"),
-                {sweep::Cell(0.25)});
-    ResultCache again;
-    ASSERT_EQ(again.open(path_a, 42), "");
-    EXPECT_EQ(again.size(), keys.size() + 1);
-}
-
-TEST(ResultCache, CompactRequiresABackingFile)
-{
-    ResultCache cache;
-    cache.insert("k", 1, {sweep::Cell(1.0)});
-    EXPECT_NE(cache.compact(), "");
 }
 
 std::vector<api::ExperimentSpec>

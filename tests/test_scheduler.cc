@@ -255,7 +255,7 @@ TEST(Schedules, HugeLatencyProfilesStaySparse)
 
 TEST(IncrementalSchedule, DrivesIdenticallyToBatch)
 {
-    // Claim-all / advance / complete-in-finish-order is exactly the
+    // Claim-front / advance / complete-in-finish-order is exactly the
     // batch algorithm; driving the incremental form by hand must
     // reproduce listSchedule's decisions.
     const auto prog = gen::draperAdder(
@@ -271,9 +271,11 @@ TEST(IncrementalSchedule, DrivesIdenticallyToBatch)
     std::vector<std::pair<std::uint64_t, IssueClaim>> running;
     std::uint64_t now = 0;
     while (!inc.finished()) {
-        while (const auto claimed = inc.claim()) {
-            start[claimed->index] = now;
-            running.push_back({now + claimed->latency, *claimed});
+        std::vector<IssueClaim> front;
+        inc.claimBatch(front);
+        for (const auto &claimed : front) {
+            start[claimed.index] = now;
+            running.push_back({now + claimed.latency, claimed});
         }
         ASSERT_FALSE(running.empty());
         std::sort(running.begin(), running.end(),
@@ -293,54 +295,6 @@ TEST(IncrementalSchedule, DrivesIdenticallyToBatch)
     EXPECT_EQ(inc.busyBlockSteps(), batch.busy_block_steps);
 }
 
-TEST(IncrementalSchedule, ClaimBatchMatchesRepeatedClaimExactly)
-{
-    // claimBatch is the engine's batch-issue path; it must hand out
-    // the same (index, block, latency) sequence as looping claim()
-    // until nullopt at every decision point of a real schedule.
-    const auto prog = gen::draperAdder(
-        16, true, nullptr, gen::UncomputeMode::CarriesLeftDirty);
-    circuit::DependencyGraph dag(prog);
-    const ScheduleTables tables(prog, dag, LatencyModel{});
-    for (const unsigned blocks : {0u, 3u, 8u}) {
-        IncrementalScheduler one(dag, tables, blocks);
-        IncrementalScheduler batch(dag, tables, blocks);
-        std::vector<std::pair<std::uint64_t, IssueClaim>> running;
-        std::uint64_t now = 0;
-        while (!one.finished()) {
-            std::vector<IssueClaim> singles;
-            while (const auto claimed = one.claim())
-                singles.push_back(*claimed);
-            std::vector<IssueClaim> front;
-            batch.claimBatch(front);
-            ASSERT_EQ(front.size(), singles.size());
-            for (std::size_t i = 0; i < front.size(); ++i) {
-                EXPECT_EQ(front[i].index, singles[i].index);
-                EXPECT_EQ(front[i].block, singles[i].block);
-                EXPECT_EQ(front[i].latency, singles[i].latency);
-                running.push_back(
-                    {now + singles[i].latency, singles[i]});
-            }
-            ASSERT_FALSE(running.empty());
-            std::sort(running.begin(), running.end(),
-                      [](const auto &a, const auto &b) {
-                          return std::make_pair(a.first,
-                                                a.second.index) <
-                                 std::make_pair(b.first,
-                                                b.second.index);
-                      });
-            now = running.front().first;
-            while (!running.empty() && running.front().first == now) {
-                one.complete(running.front().second);
-                batch.complete(running.front().second);
-                running.erase(running.begin());
-            }
-        }
-        EXPECT_TRUE(batch.finished());
-        EXPECT_EQ(one.blocksUsed(), batch.blocksUsed());
-    }
-}
-
 TEST(IncrementalSchedule, ClaimRespectsBlockCapAndReadiness)
 {
     Program p("cap", 4);
@@ -351,20 +305,21 @@ TEST(IncrementalSchedule, ClaimRespectsBlockCapAndReadiness)
     const ScheduleTables tables(p, dag, LatencyModel{});
     IncrementalScheduler inc(dag, tables, 1);
 
-    const auto first = inc.claim();
-    ASSERT_TRUE(first.has_value());
-    EXPECT_FALSE(inc.claim().has_value());  // single block busy
-    inc.complete(*first);
-    const auto second = inc.claim();
-    ASSERT_TRUE(second.has_value());
-    EXPECT_NE(second->index, first->index);
-    inc.complete(*second);
-    const auto third = inc.claim();
-    ASSERT_TRUE(third.has_value());
-    EXPECT_EQ(third->index, 2u);  // only ready after both parents
-    inc.complete(*third);
+    // Each call hands out at most one claim: the single block.
+    std::vector<IssueClaim> claims;
+    ASSERT_EQ(inc.claimBatch(claims), 1u);
+    EXPECT_EQ(inc.claimBatch(claims), 0u);  // single block busy
+    inc.complete(claims[0]);
+    ASSERT_EQ(inc.claimBatch(claims), 1u);
+    EXPECT_NE(claims[1].index, claims[0].index);
+    inc.complete(claims[1]);
+    ASSERT_EQ(inc.claimBatch(claims), 1u);
+    EXPECT_EQ(claims[2].index, 2u);  // only ready after both parents
+    EXPECT_EQ(claims[2].block, 0u);  // the freed block is reused
+    inc.complete(claims[2]);
     EXPECT_TRUE(inc.finished());
-    EXPECT_FALSE(inc.claim().has_value());
+    EXPECT_EQ(inc.claimBatch(claims), 0u);
+    EXPECT_EQ(claims.size(), 3u);
 }
 
 TEST(Schedules, WindowedProfileAverages)

@@ -3,9 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <sstream>
-#include <thread>
+#include <stdexcept>
 
 #include "sweep/emit.hh"
 #include "sweep/sweep.hh"
@@ -13,37 +12,6 @@
 
 namespace qmh {
 namespace {
-
-using cqla::HierarchySimConfig;
-using cqla::HierarchySimResult;
-
-bool
-bitIdentical(const HierarchySimResult &a, const HierarchySimResult &b)
-{
-    // Exact equality on purpose: the determinism contract is
-    // bit-identical results, not results within a tolerance.
-    return a.makespan_s == b.makespan_s &&
-           a.baseline_s == b.baseline_s &&
-           a.makespan_speedup == b.makespan_speedup &&
-           a.mean_adder_speedup == b.mean_adder_speedup &&
-           a.level1_adds == b.level1_adds &&
-           a.level2_adds == b.level2_adds &&
-           a.transfer_utilization == b.transfer_utilization &&
-           a.events_executed == b.events_executed;
-}
-
-std::vector<HierarchySimConfig>
-smallGrid()
-{
-    sweep::HierarchyGrid grid;
-    grid.base.total_adders = 40;
-    grid.codes = {ecc::CodeKind::Steane713, ecc::CodeKind::BaconShor913};
-    grid.n_bits = {64, 128};
-    grid.parallel_transfers = {5, 10};
-    grid.blocks = {25, 49};
-    grid.level1_fractions = {1.0 / 3.0, 2.0 / 3.0};
-    return grid.expand();
-}
 
 TEST(ThreadPool, RunsEverySubmittedTask)
 {
@@ -134,93 +102,6 @@ TEST(Sweep, PointSeedIsDeterministicAndDistinct)
     const auto a = sweep::pointSeed(99, 7);
     const auto b = sweep::pointSeed(99, 8);
     EXPECT_GT(a ^ b, 0xFFFFFFFFULL);
-}
-
-TEST(Sweep, MapPreservesIndexOrder)
-{
-    sweep::SweepRunner runner({.threads = 4});
-    const auto results = runner.map(
-        257, [](std::size_t i, Random &) { return i * i; });
-    ASSERT_EQ(results.size(), 257u);
-    for (std::size_t i = 0; i < results.size(); ++i)
-        EXPECT_EQ(results[i], i * i);
-}
-
-TEST(Sweep, MapSeedsAreIndependentOfThreadCountAndTiming)
-{
-    // Draw from the per-point RNG under deliberately skewed task
-    // durations so completion order differs from index order; the
-    // sampled streams must not care.
-    auto draw = [](std::size_t i, Random &rng) {
-        if (i % 7 == 0)
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-        return rng.next();
-    };
-    sweep::SweepRunner serial({.threads = 1, .base_seed = 123});
-    sweep::SweepRunner wide({.threads = 8, .base_seed = 123});
-    const auto expected = serial.map(64, draw);
-    const auto actual = wide.map(64, draw);
-    EXPECT_EQ(expected, actual);
-}
-
-TEST(Sweep, HierarchyGridExpandsCrossProduct)
-{
-    const auto configs = smallGrid();
-    EXPECT_EQ(configs.size(), 2u * 2u * 2u * 2u * 2u);
-    // Base values survive on axes the grid does not list.
-    for (const auto &config : configs)
-        EXPECT_EQ(config.total_adders, 40u);
-}
-
-TEST(Sweep, HierarchyGridEmptyAxesUseBase)
-{
-    sweep::HierarchyGrid grid;
-    grid.base.n_bits = 96;
-    grid.level1_fractions = {0.25, 0.5};
-    const auto configs = grid.expand();
-    ASSERT_EQ(configs.size(), 2u);
-    EXPECT_EQ(configs[0].n_bits, 96);
-    EXPECT_EQ(configs[0].code, grid.base.code);
-    EXPECT_DOUBLE_EQ(configs[0].level1_fraction, 0.25);
-    EXPECT_DOUBLE_EQ(configs[1].level1_fraction, 0.5);
-}
-
-TEST(Sweep, HierarchySweepBitIdenticalAcrossThreadCounts)
-{
-    const auto configs = smallGrid();
-    const auto params = iontrap::Params::future();
-    const auto serial =
-        sweep::runHierarchySweep(configs, params, {.threads = 1});
-    ASSERT_EQ(serial.size(), configs.size());
-    for (const unsigned threads : {2u, 4u, 8u}) {
-        const auto parallel = sweep::runHierarchySweep(
-            configs, params, {.threads = threads});
-        ASSERT_EQ(parallel.size(), serial.size());
-        for (std::size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_TRUE(
-                bitIdentical(serial[i].result, parallel[i].result))
-                << "point " << i << " diverged at " << threads
-                << " threads";
-            EXPECT_EQ(serial[i].seed, parallel[i].seed);
-            EXPECT_EQ(serial[i].config.n_bits,
-                      parallel[i].config.n_bits);
-        }
-    }
-}
-
-TEST(Sweep, HierarchySweepSeedsFollowBaseSeed)
-{
-    const auto configs = smallGrid();
-    const auto params = iontrap::Params::future();
-    const auto a = sweep::runHierarchySweep(
-        configs, params, {.threads = 2, .base_seed = 7});
-    const auto b = sweep::runHierarchySweep(
-        configs, params, {.threads = 2, .base_seed = 8});
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].seed, sweep::pointSeed(7, i));
-        EXPECT_NE(a[i].seed, b[i].seed);
-    }
 }
 
 TEST(Emit, CsvQuotesOnlyWhenNeeded)
